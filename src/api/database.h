@@ -86,7 +86,8 @@ class Database {
 
   /// Serializes the catalog into a versioned, checksummed snapshot:
   /// every relation plus every resident permuted-index artifact of
-  /// the index cache, each written raw (mmap-able) and compressed.
+  /// the index cache, each written once in its mmap-able resident form
+  /// (raw rows; trie levels raw or block-compressed).
   /// Atomic (temp file + rename); overwrites `path`.
   Status Save(const std::string& path) const;
 

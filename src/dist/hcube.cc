@@ -8,10 +8,12 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "storage/codec.h"
+#include "storage/block_codec.h"
 
 namespace adj::dist {
 namespace {
+
+namespace bc = storage::blockcodec;
 
 /// Per-input routing plan: how each column's value fixes a cube
 /// coordinate, and which coordinates stay free (duplication dims).
@@ -86,10 +88,40 @@ std::vector<storage::Relation> RouteInput(const storage::Relation& rel,
   return blocks;
 }
 
-/// Routes, canonicalizes, and index-builds one input end to end —
-/// the expensive per-input work an IndexCache hit skips entirely.
-/// `build_seconds` (size num_servers) receives each receiver's timed
-/// local build work for this input.
+/// Block-codec size of one array of sorted runs: its wire size when
+/// shipped in the storage layer's execution format.
+uint64_t EncodedBytes(std::span<const Value> values) {
+  bc::CompressedLevel level;
+  bc::EncodeLevel(values, &level);
+  return level.ResidentBytes();
+}
+
+/// Pull ships the sorted block column by column, each column
+/// block-encoded.
+uint64_t PullWireBytes(const storage::Relation& block) {
+  std::vector<Value> column(block.size());
+  uint64_t bytes = 0;
+  for (int c = 0; c < block.arity(); ++c) {
+    for (uint64_t r = 0; r < block.size(); ++r) column[r] = block.At(r, c);
+    bytes += EncodedBytes(column);
+  }
+  return bytes;
+}
+
+/// Merge ships the trie's value and child-offset arrays, each
+/// block-encoded; a level already compressed ships as it is resident,
+/// so a raw trie and its Trie::Compress-ed form cost the same bytes.
+uint64_t MergeWireBytes(const storage::Trie& trie) {
+  uint64_t bytes = 0;
+  for (int l = 0; l < trie.arity(); ++l) {
+    bytes += trie.level_compressed(l)
+                 ? bc::ViewResidentBytes(trie.CompressedView(l))
+                 : EncodedBytes(trie.LevelSpan(l));
+    if (l + 1 < trie.arity()) bytes += EncodedBytes(trie.ChildBeginSpan(l));
+  }
+  return bytes;
+}
+
 /// Single-server shuffle outcome without building anything: with one
 /// server every tuple of the (already canonical) input lands on that
 /// server exactly once, so the shard fragment *is* the prepared
@@ -107,10 +139,10 @@ ShardedRelation AliasSingleServer(
         frag.wire_bytes = rel->SizeBytes();
         break;
       case HCubeVariant::kPull:
-        frag.wire_bytes = storage::EncodeRelationBlock(*rel).size();
+        frag.wire_bytes = PullWireBytes(*rel);
         break;
       case HCubeVariant::kMerge:
-        frag.wire_bytes = storage::EncodeTrieBlock(*trie).size();
+        frag.wire_bytes = MergeWireBytes(*trie);
         break;
     }
   }
@@ -119,6 +151,10 @@ ShardedRelation AliasSingleServer(
   return sharded;
 }
 
+/// Routes, canonicalizes, and index-builds one input end to end —
+/// the expensive per-input work an IndexCache hit skips entirely.
+/// `build_seconds` (size num_servers) receives each receiver's timed
+/// local build work for this input.
 ShardedRelation BuildSharded(const storage::Relation& rel,
                              const RoutePlan& plan, int num_servers,
                              HCubeVariant variant, size_t input_index,
@@ -146,7 +182,7 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
         }
         case HCubeVariant::kPull: {
           // Sorted compressed blocks: verify order + build, no sort.
-          frag.wire_bytes = storage::EncodeRelationBlock(block).size();
+          frag.wire_bytes = PullWireBytes(block);
           WallTimer timer;
           block.IsSortedUnique();
           trie = storage::Trie::Build(block);
@@ -158,7 +194,7 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
           // does no local build work (the sender-side build below is
           // not charged to the receiver's makespan).
           trie = storage::Trie::Build(block);
-          frag.wire_bytes = storage::EncodeTrieBlock(trie).size();
+          frag.wire_bytes = MergeWireBytes(trie);
           break;
         }
       }
@@ -256,7 +292,7 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
     // so nothing is routed, sorted, or built — reported as a reuse of
     // the pinned index (with mmap provenance if it was snapshot-loaded),
     // never as a build. The aliased artifact still goes through the
-    // cache so the kPull/kMerge wire-byte encodings run once.
+    // cache so its kPull/kMerge wire bytes are sized once per input.
     const bool alias_single =
         num_servers == 1 && in.shared_rel != nullptr &&
         in.shared_rel.get() == in.rel && in.trie != nullptr;

@@ -62,11 +62,12 @@ struct ShardedRelation {
 ///    receiver collects an unsorted stream and must sort before
 ///    building its tries (per-record network overhead, full local sort),
 ///  - kPull: senders group tuples into per-destination sorted blocks
-///    (delta-compressed) that receivers fetch; the local build skips
-///    the sort,
+///    (column-wise block-compressed, storage/block_codec.h) that
+///    receivers fetch; the local build skips the sort,
 ///  - kMerge: senders pre-build and ship the trie arrays themselves
-///    ("a trie ... can be implemented using three arrays"); receivers
-///    adopt them with no local build work.
+///    ("a trie ... can be implemented using three arrays", each
+///    block-compressed on the wire); receivers adopt them with no
+///    local build work.
 enum class HCubeVariant { kPush = 0, kPull = 1, kMerge = 2 };
 
 const char* HCubeVariantName(HCubeVariant variant);

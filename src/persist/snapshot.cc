@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "storage/codec.h"
 
 namespace adj::persist {
 
@@ -39,7 +38,29 @@ uint64_t Checksum(const uint8_t* data, size_t n) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Varint helpers over the shared storage codec.
+// Varint helpers for the manifest and TOC (LEB128 unsigned varints;
+// signed fields go through zigzag).
+
+void PutVarint(uint64_t v, std::vector<uint8_t>* out) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out->push_back(static_cast<uint8_t>(v));
+}
+
+StatusOr<uint64_t> GetVarint(std::span<const uint8_t> buf, size_t* pos) {
+  uint64_t v = 0;
+  int shift = 0;
+  while (*pos < buf.size()) {
+    const uint8_t byte = buf[(*pos)++];
+    v |= uint64_t(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return v;
+    shift += 7;
+    if (shift > 63) break;
+  }
+  return Status::OutOfRange("truncated varint");
+}
 
 uint64_t ZigZag(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
@@ -49,12 +70,12 @@ int64_t UnZigZag(uint64_t v) {
 }
 
 void PutString(const std::string& s, std::vector<uint8_t>* out) {
-  storage::PutVarint(s.size(), out);
+  PutVarint(s.size(), out);
   out->insert(out->end(), s.begin(), s.end());
 }
 
-StatusOr<std::string> GetString(const std::vector<uint8_t>& buf, size_t* pos) {
-  StatusOr<uint64_t> len = storage::GetVarint(buf, pos);
+StatusOr<std::string> GetString(std::span<const uint8_t> buf, size_t* pos) {
+  StatusOr<uint64_t> len = GetVarint(buf, pos);
   if (!len.ok()) return len.status();
   if (*len > buf.size() - *pos) {
     return Status::OutOfRange("snapshot manifest: string overruns buffer");
@@ -65,12 +86,12 @@ StatusOr<std::string> GetString(const std::vector<uint8_t>& buf, size_t* pos) {
 }
 
 void PutSchema(const Schema& schema, std::vector<uint8_t>* out) {
-  storage::PutVarint(schema.arity(), out);
-  for (AttrId a : schema.attrs()) storage::PutVarint(ZigZag(a), out);
+  PutVarint(schema.arity(), out);
+  for (AttrId a : schema.attrs()) PutVarint(ZigZag(a), out);
 }
 
-StatusOr<Schema> GetSchema(const std::vector<uint8_t>& buf, size_t* pos) {
-  StatusOr<uint64_t> arity = storage::GetVarint(buf, pos);
+StatusOr<Schema> GetSchema(std::span<const uint8_t> buf, size_t* pos) {
+  StatusOr<uint64_t> arity = GetVarint(buf, pos);
   if (!arity.ok()) return arity.status();
   if (*arity > 64) {
     return Status::InvalidArgument("snapshot manifest: implausible arity " +
@@ -79,48 +100,11 @@ StatusOr<Schema> GetSchema(const std::vector<uint8_t>& buf, size_t* pos) {
   std::vector<AttrId> attrs;
   attrs.reserve(*arity);
   for (uint64_t i = 0; i < *arity; ++i) {
-    StatusOr<uint64_t> a = storage::GetVarint(buf, pos);
+    StatusOr<uint64_t> a = GetVarint(buf, pos);
     if (!a.ok()) return a.status();
     attrs.push_back(static_cast<AttrId>(UnZigZag(*a)));
   }
   return Schema(std::move(attrs));
-}
-
-// ---------------------------------------------------------------------------
-// Dictionary codec for (possibly unsorted) catalog relations: sorted
-// distinct values as a delta+vbyte run, then every cell as a varint
-// dictionary rank. Order-robust, unlike the shared-prefix row codec
-// the shuffle uses for sorted blocks.
-
-void DictEncodeRows(std::span<const Value> rows, std::vector<uint8_t>* out) {
-  std::vector<Value> dict(rows.begin(), rows.end());
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  storage::EncodeSortedValues(dict, out);
-  storage::PutVarint(rows.size(), out);
-  for (Value v : rows) {
-    const auto it = std::lower_bound(dict.begin(), dict.end(), v);
-    storage::PutVarint(static_cast<uint64_t>(it - dict.begin()), out);
-  }
-}
-
-StatusOr<std::vector<Value>> DictDecodeRows(const std::vector<uint8_t>& buf) {
-  size_t pos = 0;
-  std::vector<Value> dict;
-  ADJ_RETURN_IF_ERROR(storage::DecodeSortedValues(buf, &pos, &dict));
-  StatusOr<uint64_t> count = storage::GetVarint(buf, &pos);
-  if (!count.ok()) return count.status();
-  std::vector<Value> rows;
-  rows.reserve(*count);
-  for (uint64_t i = 0; i < *count; ++i) {
-    StatusOr<uint64_t> rank = storage::GetVarint(buf, &pos);
-    if (!rank.ok()) return rank.status();
-    if (*rank >= dict.size()) {
-      return Status::OutOfRange("dictionary rank out of range");
-    }
-    rows.push_back(dict[*rank]);
-  }
-  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -187,11 +171,11 @@ class FileBuilder {
 
   Status Finish(uint32_t manifest_segment) {
     std::vector<uint8_t> toc_bytes;
-    storage::PutVarint(toc_.size(), &toc_bytes);
+    PutVarint(toc_.size(), &toc_bytes);
     for (const SegmentInfo& s : toc_) {
       toc_bytes.push_back(static_cast<uint8_t>(s.kind));
-      storage::PutVarint(s.offset, &toc_bytes);
-      storage::PutVarint(s.size, &toc_bytes);
+      PutVarint(s.offset, &toc_bytes);
+      PutVarint(s.size, &toc_bytes);
       PutFixed64(s.checksum, &toc_bytes);
     }
     const uint64_t toc_offset = offset_;
@@ -224,17 +208,6 @@ class FileBuilder {
 
 StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
                                            const std::string& path) {
-  return Write(catalog, path, {});
-}
-
-StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
-                                           const std::string& path,
-                                           const WriteOptions& options) {
-  if (options.version < kMinVersion || options.version > kVersion) {
-    return Status::InvalidArgument("unsupported snapshot write version " +
-                                   std::to_string(options.version));
-  }
-  const bool v3 = options.version >= 3;
   WriteStats stats;
   const std::string tmp = path + ".tmp";
   FileBuilder builder(tmp);
@@ -246,7 +219,7 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
   // Header.
   {
     std::vector<uint8_t> header(kMagic, kMagic + 8);
-    PutFixed32(options.version, &header);
+    PutFixed32(kVersion, &header);
     // Written in *native* byte order on purpose: a reader on the other
     // endianness sees the byte-swapped tag and refuses, because every
     // raw array segment is native-order too.
@@ -283,20 +256,14 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
   }
 
   std::vector<uint8_t> manifest;
-  storage::PutVarint(phys.size(), &manifest);
+  PutVarint(phys.size(), &manifest);
   for (const auto& rel : phys) {
     PutSchema(rel->schema(), &manifest);
-    storage::PutVarint(rel->size(), &manifest);
+    PutVarint(rel->size(), &manifest);
     const uint32_t rows_seg =
         builder.AddSegment(SegmentKind::kRelationRows, BytesOf(rel->raw()));
     stats.raw_bytes += rel->SizeBytes();
-    std::vector<uint8_t> dict;
-    DictEncodeRows(rel->raw(), &dict);
-    const uint32_t dict_seg =
-        builder.AddSegment(SegmentKind::kRelationDict, dict);
-    stats.compressed_bytes += dict.size();
-    storage::PutVarint(rows_seg, &manifest);
-    storage::PutVarint(uint64_t{dict_seg} + 1, &manifest);
+    PutVarint(rows_seg, &manifest);
     ++stats.relations;
   }
   // Per-name entry state: base + effective physical indexes, version,
@@ -304,17 +271,17 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
   // bounded by the compaction threshold, so this stays a small varint
   // run inside the (checksummed) manifest rather than aligned
   // segments.
-  storage::PutVarint(entries.size(), &manifest);
+  PutVarint(entries.size(), &manifest);
   for (const NamedEntry& e : entries) {
     PutString(e.name, &manifest);
-    storage::PutVarint(phys_index.at(e.state.base.get()), &manifest);
-    storage::PutVarint(phys_index.at(e.state.effective.get()), &manifest);
-    storage::PutVarint(e.state.version, &manifest);
-    storage::PutVarint(e.state.deltas.size(), &manifest);
+    PutVarint(phys_index.at(e.state.base.get()), &manifest);
+    PutVarint(phys_index.at(e.state.effective.get()), &manifest);
+    PutVarint(e.state.version, &manifest);
+    PutVarint(e.state.deltas.size(), &manifest);
     for (const auto& delta : e.state.deltas) {
       for (const Relation* side : {&delta->inserts, &delta->deletes}) {
-        storage::PutVarint(side->size(), &manifest);
-        for (Value v : side->raw()) storage::PutVarint(v, &manifest);
+        PutVarint(side->size(), &manifest);
+        for (Value v : side->raw()) PutVarint(v, &manifest);
         stats.delta_rows += side->size();
       }
       ++stats.delta_batches;
@@ -334,43 +301,27 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
   });
   std::sort(payloads.begin(), payloads.end(),
             [](const auto& a, const auto& b) { return a.lru_tick < b.lru_tick; });
-  storage::PutVarint(payloads.size(), &manifest);
+  PutVarint(payloads.size(), &manifest);
   for (const auto& p : payloads) {
-    storage::PutVarint(
+    PutVarint(
         phys_index.at(static_cast<const Relation*>(p.identity)), &manifest);
-    storage::PutVarint(p.perm.size(), &manifest);
-    for (int x : p.perm) storage::PutVarint(ZigZag(x), &manifest);
-    storage::PutVarint(p.rows->size(), &manifest);
+    PutVarint(p.perm.size(), &manifest);
+    for (int x : p.perm) PutVarint(ZigZag(x), &manifest);
+    PutVarint(p.rows->size(), &manifest);
     const uint32_t rows_seg =
         builder.AddSegment(SegmentKind::kPayloadRows, BytesOf(p.rows->raw()));
     stats.raw_bytes += p.rows->SizeBytes();
-    const std::vector<uint8_t> block = storage::EncodeRelationBlock(*p.rows);
-    const uint32_t block_seg =
-        builder.AddSegment(SegmentKind::kPayloadBlock, block);
-    stats.compressed_bytes += block.size();
-    storage::PutVarint(rows_seg, &manifest);
-    storage::PutVarint(uint64_t{block_seg} + 1, &manifest);
-    storage::PutVarint(p.trie != nullptr ? 1 : 0, &manifest);
+    PutVarint(rows_seg, &manifest);
+    PutVarint(p.trie != nullptr ? 1 : 0, &manifest);
     if (p.trie != nullptr) {
       const Trie& t = *p.trie;
-      // The v2 layout stores raw level arrays (plus a mirror), which a
-      // block-compressed trie does not have — re-materialize a raw
-      // trie from the payload rows (deterministic: same CSR arrays).
-      Trie rebuilt;
-      const Trie* raw_trie = &t;
-      if (!v3 && t.any_compressed()) {
-        rebuilt = Trie::Build(*p.rows);
-        raw_trie = &rebuilt;
-      }
       for (int l = 0; l < t.arity(); ++l) {
         std::span<const uint32_t> kids = t.ChildBeginSpan(l);
-        storage::PutVarint(t.LevelSize(l), &manifest);
-        if (v3) {
-          storage::PutVarint(t.level_compressed(l) ? 1 : 0, &manifest);
-        }
-        if (v3 && t.level_compressed(l)) {
-          // v3: the blockcodec arrays are the stored form — mapped in
-          // place on open, no raw copy, no mirror.
+        PutVarint(t.LevelSize(l), &manifest);
+        PutVarint(t.level_compressed(l) ? 1 : 0, &manifest);
+        if (t.level_compressed(l)) {
+          // The blockcodec arrays are the stored form — mapped in
+          // place on open, no raw copy.
           const storage::blockcodec::CompressedLevelView cv =
               t.CompressedView(l);
           const uint32_t mseg = builder.AddSegment(
@@ -379,41 +330,33 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
               SegmentKind::kTrieLevelStarts, BytesOf(cv.starts));
           const uint32_t bseg =
               builder.AddSegment(SegmentKind::kTrieLevelBytes, cv.bytes);
-          storage::PutVarint(mseg, &manifest);
-          storage::PutVarint(sseg, &manifest);
-          storage::PutVarint(bseg, &manifest);
+          PutVarint(mseg, &manifest);
+          PutVarint(sseg, &manifest);
+          PutVarint(bseg, &manifest);
           stats.raw_bytes += cv.mins.size_bytes() + cv.starts.size_bytes() +
                              cv.bytes.size();
           ++stats.compressed_levels;
         } else {
-          std::span<const Value> vals = raw_trie->LevelSpan(l);
+          std::span<const Value> vals = t.LevelSpan(l);
           const uint32_t vseg =
               builder.AddSegment(SegmentKind::kTrieValues, BytesOf(vals));
-          storage::PutVarint(vseg, &manifest);
+          PutVarint(vseg, &manifest);
           stats.raw_bytes += vals.size_bytes();
         }
         if (l + 1 < t.arity()) {
           const uint32_t cseg =
               builder.AddSegment(SegmentKind::kTrieChild, BytesOf(kids));
-          storage::PutVarint(uint64_t{cseg} + 1, &manifest);
+          PutVarint(uint64_t{cseg} + 1, &manifest);
           stats.raw_bytes += kids.size_bytes();
         } else {
-          storage::PutVarint(0, &manifest);
+          PutVarint(0, &manifest);
         }
-      }
-      if (!v3) {
-        const std::vector<uint8_t> tblock =
-            storage::EncodeTrieBlock(*raw_trie);
-        const uint32_t tseg =
-            builder.AddSegment(SegmentKind::kTrieBlock, tblock);
-        stats.compressed_bytes += tblock.size();
-        storage::PutVarint(uint64_t{tseg} + 1, &manifest);
       }
       ++stats.tries;
     }
-    storage::PutVarint(p.bindings.size(), &manifest);
+    PutVarint(p.bindings.size(), &manifest);
     for (const auto& b : p.bindings) {
-      storage::PutVarint(b.with_trie ? 1 : 0, &manifest);
+      PutVarint(b.with_trie ? 1 : 0, &manifest);
       PutSchema(b.schema, &manifest);
       ++stats.bindings;
     }
@@ -463,13 +406,12 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
         "snapshot '" + path +
         "' was written on a platform with different endianness");
   }
-  if (version < kMinVersion || version > kVersion) {
+  if (version != kVersion) {
     return Status::InvalidArgument(
         "snapshot '" + path + "' has format version " +
-        std::to_string(version) + "; this build reads versions " +
-        std::to_string(kMinVersion) + ".." + std::to_string(kVersion));
+        std::to_string(version) + "; this build reads version " +
+        std::to_string(kVersion) + " only (re-save from a live catalog)");
   }
-  reader.version_ = version;
   const uint32_t value_size = GetFixed32(f.data() + 16);
   if (value_size != sizeof(Value)) {
     return Status::InvalidArgument("snapshot '" + path + "' stores " +
@@ -498,9 +440,9 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
                                    "': TOC checksum mismatch");
   }
   {
-    const std::vector<uint8_t> buf(toc_bytes->begin(), toc_bytes->end());
+    const std::span<const uint8_t> buf = *toc_bytes;
     size_t pos = 0;
-    StatusOr<uint64_t> count = storage::GetVarint(buf, &pos);
+    StatusOr<uint64_t> count = GetVarint(buf, &pos);
     if (!count.ok()) return count.status();
     reader.segments_.reserve(*count);
     for (uint64_t i = 0; i < *count; ++i) {
@@ -509,9 +451,9 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
       }
       SegmentInfo info;
       info.kind = static_cast<SegmentKind>(buf[pos++]);
-      StatusOr<uint64_t> off = storage::GetVarint(buf, &pos);
+      StatusOr<uint64_t> off = GetVarint(buf, &pos);
       if (!off.ok()) return off.status();
-      StatusOr<uint64_t> size = storage::GetVarint(buf, &pos);
+      StatusOr<uint64_t> size = GetVarint(buf, &pos);
       if (!size.ok()) return size.status();
       if (pos + 8 > buf.size()) {
         return Status::OutOfRange("snapshot TOC truncated");
@@ -540,11 +482,11 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
   if (Checksum(mbytes->data(), mbytes->size()) != m.checksum) {
     return Status::InvalidArgument("snapshot manifest checksum mismatch");
   }
-  const std::vector<uint8_t> buf(mbytes->begin(), mbytes->end());
+  const std::span<const uint8_t> buf = *mbytes;
   size_t pos = 0;
   const uint64_t num_segments = reader.segments_.size();
   auto get = [&](const char* what) -> StatusOr<uint64_t> {
-    StatusOr<uint64_t> v = storage::GetVarint(buf, &pos);
+    StatusOr<uint64_t> v = GetVarint(buf, &pos);
     if (!v.ok()) {
       return Status::OutOfRange(std::string("snapshot manifest truncated at ") +
                                 what);
@@ -575,15 +517,6 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
     StatusOr<uint64_t> seg = get_seg("relation rows segment");
     if (!seg.ok()) return seg.status();
     rel.rows_seg = static_cast<uint32_t>(*seg);
-    StatusOr<uint64_t> dict = get("relation dict segment");
-    if (!dict.ok()) return dict.status();
-    if (*dict != 0) {
-      if (*dict - 1 >= num_segments) {
-        return Status::InvalidArgument(
-            "snapshot manifest: dict segment out of range");
-      }
-      rel.dict_seg = static_cast<int64_t>(*dict - 1);
-    }
     const uint64_t expect =
         rel.row_count * uint64_t(rel.schema.arity()) * sizeof(Value);
     if (reader.segments_[rel.rows_seg].size != expect) {
@@ -683,15 +616,6 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
       return Status::InvalidArgument(
           "snapshot payload segment size disagrees with row count");
     }
-    StatusOr<uint64_t> block = get("payload block segment");
-    if (!block.ok()) return block.status();
-    if (*block != 0) {
-      if (*block - 1 >= num_segments) {
-        return Status::InvalidArgument(
-            "snapshot manifest: block segment out of range");
-      }
-      p.block_seg = static_cast<int64_t>(*block - 1);
-    }
     StatusOr<uint64_t> has_trie = get("trie flag");
     if (!has_trie.ok()) return has_trie.status();
     p.has_trie = *has_trie != 0;
@@ -701,11 +625,9 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
         StatusOr<uint64_t> count = get("trie level count");
         if (!count.ok()) return count.status();
         level.values_count = *count;
-        if (reader.version_ >= 3) {
-          StatusOr<uint64_t> flag = get("trie level compressed flag");
-          if (!flag.ok()) return flag.status();
-          level.compressed = *flag != 0;
-        }
+        StatusOr<uint64_t> flag = get("trie level compressed flag");
+        if (!flag.ok()) return flag.status();
+        level.compressed = *flag != 0;
         if (level.compressed) {
           StatusOr<uint64_t> mseg = get_seg("trie mins segment");
           if (!mseg.ok()) return mseg.status();
@@ -753,17 +675,6 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
               "snapshot trie child arrays malformed");
         }
         p.levels.push_back(level);
-      }
-      if (reader.version_ < 3) {
-        StatusOr<uint64_t> tseg = get("trie block segment");
-        if (!tseg.ok()) return tseg.status();
-        if (*tseg != 0) {
-          if (*tseg - 1 >= num_segments) {
-            return Status::InvalidArgument(
-                "snapshot manifest: trie block segment out of range");
-          }
-          p.trie_block_seg = static_cast<int64_t>(*tseg - 1);
-        }
       }
     }
     StatusOr<uint64_t> num_bindings = get("binding count");
@@ -850,7 +761,7 @@ StatusOr<std::vector<Trie::MappedLevel>> SnapshotReader::TrieLevels(
     }
     levels.push_back(level);
   }
-  if (mapped_bytes != nullptr) *mapped_bytes += bytes;
+  *mapped_bytes += bytes;
   return levels;
 }
 
@@ -866,85 +777,43 @@ Status SnapshotReader::VerifyChecksums() const {
   return Status::OK();
 }
 
-namespace {
-
-Status CompareValues(std::span<const Value> got, std::span<const Value> want,
-                     const std::string& what) {
-  if (got.size() != want.size() ||
-      !std::equal(got.begin(), got.end(), want.begin())) {
-    return Status::InvalidArgument("snapshot mirror disagrees with raw " +
-                                   what);
+StatusOr<SnapshotReader::MappedPayload> SnapshotReader::MapPayload(
+    const Payload& p, uint64_t* mapped_bytes) const {
+  MappedPayload out;
+  StatusOr<std::span<const Value>> rows = SegmentValues(p.rows_seg);
+  if (!rows.ok()) return rows.status();
+  out.rows = std::make_shared<const Relation>(
+      Relation::AliasSpan(relations_[p.phys].schema, *rows, file_));
+  // The join kernels' galloping seeks assume sorted-unique rows:
+  // check once at the trust boundary rather than crashing later.
+  if (!out.rows->IsSortedUnique()) {
+    return Status::InvalidArgument(
+        "snapshot payload rows are not sorted-unique");
   }
-  return Status::OK();
+  *mapped_bytes += rows->size_bytes();
+  if (p.has_trie) {
+    // The stored levels ARE the execution format: FromMapped runs the
+    // full structural validation — block skip tables, payload
+    // decodability, CSR shape, sorted sibling runs — in place.
+    StatusOr<std::vector<Trie::MappedLevel>> levels =
+        TrieLevels(p, mapped_bytes);
+    if (!levels.ok()) return levels.status();
+    StatusOr<Trie> mapped = Trie::FromMapped(std::move(*levels), file_);
+    if (!mapped.ok()) return mapped.status();
+    if (mapped->NumTuples() != out.rows->size()) {
+      return Status::InvalidArgument(
+          "snapshot trie tuple count disagrees with payload rows");
+    }
+    out.trie = std::make_shared<const Trie>(std::move(*mapped));
+  }
+  return out;
 }
-
-/// Placeholder attribute labeling for decoding compressed mirrors —
-/// the codecs only consult arity.
-Schema AnonSchema(int arity) {
-  std::vector<AttrId> attrs(arity);
-  for (int i = 0; i < arity; ++i) attrs[i] = i;
-  return Schema(std::move(attrs));
-}
-
-}  // namespace
 
 Status SnapshotReader::Verify() const {
   ADJ_RETURN_IF_ERROR(VerifyChecksums());
-  for (size_t i = 0; i < relations_.size(); ++i) {
-    const PhysRel& rel = relations_[i];
-    if (rel.dict_seg < 0) continue;
-    StatusOr<std::span<const Value>> raw = SegmentValues(rel.rows_seg);
-    if (!raw.ok()) return raw.status();
-    StatusOr<std::span<const uint8_t>> comp = SegmentBytes(rel.dict_seg);
-    if (!comp.ok()) return comp.status();
-    StatusOr<std::vector<Value>> decoded =
-        DictDecodeRows(std::vector<uint8_t>(comp->begin(), comp->end()));
-    if (!decoded.ok()) return decoded.status();
-    ADJ_RETURN_IF_ERROR(CompareValues(
-        *decoded, *raw, "relation " + std::to_string(i) + " rows"));
-  }
-  for (size_t i = 0; i < payloads_.size(); ++i) {
-    const Payload& p = payloads_[i];
-    StatusOr<std::span<const Value>> raw = SegmentValues(p.rows_seg);
-    if (!raw.ok()) return raw.status();
-    const Schema schema = AnonSchema(static_cast<int>(p.perm.size()));
-    if (p.block_seg >= 0) {
-      StatusOr<std::span<const uint8_t>> comp = SegmentBytes(p.block_seg);
-      if (!comp.ok()) return comp.status();
-      StatusOr<Relation> decoded = storage::DecodeRelationBlock(
-          std::vector<uint8_t>(comp->begin(), comp->end()), schema);
-      if (!decoded.ok()) return decoded.status();
-      ADJ_RETURN_IF_ERROR(CompareValues(
-          decoded->raw(), *raw, "payload " + std::to_string(i) + " rows"));
-    }
-    if (p.trie_block_seg >= 0) {
-      StatusOr<std::span<const uint8_t>> comp = SegmentBytes(p.trie_block_seg);
-      if (!comp.ok()) return comp.status();
-      // v2: the trie mirror decodes back to the tuple set it indexes;
-      // the raw payload rows are exactly that set, so this
-      // cross-checks trie levels against rows in one comparison.
-      StatusOr<Relation> decoded = storage::DecodeTrieBlockToRelation(
-          std::vector<uint8_t>(comp->begin(), comp->end()), schema);
-      if (!decoded.ok()) return decoded.status();
-      ADJ_RETURN_IF_ERROR(CompareValues(
-          decoded->raw(), *raw, "payload " + std::to_string(i) + " trie"));
-    }
-    if (version_ >= 3 && p.has_trie) {
-      // v3 has no trie mirror: the stored levels ARE the execution
-      // format. FromMapped runs the full structural validation —
-      // block skip tables, payload decodability, CSR shape, sorted
-      // sibling runs — against the mapped segments.
-      StatusOr<std::vector<Trie::MappedLevel>> levels =
-          TrieLevels(p, nullptr);
-      if (!levels.ok()) return levels.status();
-      StatusOr<Trie> mapped = Trie::FromMapped(std::move(*levels), file_);
-      if (!mapped.ok()) return mapped.status();
-      if (mapped->NumTuples() != raw->size() / p.perm.size()) {
-        return Status::InvalidArgument(
-            "snapshot trie " + std::to_string(i) +
-            " tuple count disagrees with payload rows");
-      }
-    }
+  uint64_t mapped_bytes = 0;
+  for (const Payload& p : payloads_) {
+    ADJ_RETURN_IF_ERROR(MapPayload(p, &mapped_bytes).status());
   }
   return Status::OK();
 }
@@ -996,45 +865,19 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
     }
     states.push_back(std::move(state));
   }
-  struct Restored {
-    std::shared_ptr<const Relation> canon;
-    std::shared_ptr<const Trie> trie;
-  };
-  std::vector<Restored> restored;
+  std::vector<MappedPayload> restored;
   restored.reserve(payloads_.size());
   for (const Payload& p : payloads_) {
-    Restored r;
-    StatusOr<std::span<const Value>> rows = SegmentValues(p.rows_seg);
-    if (!rows.ok()) return rows.status();
-    r.canon = std::make_shared<const Relation>(
-        Relation::AliasSpan(phys[p.phys]->schema(), *rows, file_));
-    // The join kernels' galloping seeks assume sorted-unique rows:
-    // check once at the trust boundary rather than crashing later.
-    if (!r.canon->IsSortedUnique()) {
-      return Status::InvalidArgument(
-          "snapshot payload rows are not sorted-unique");
-    }
-    stats.mapped_bytes += rows->size_bytes();
-    if (p.has_trie) {
-      StatusOr<std::vector<Trie::MappedLevel>> levels =
-          TrieLevels(p, &stats.mapped_bytes);
-      if (!levels.ok()) return levels.status();
-      StatusOr<Trie> mapped = Trie::FromMapped(std::move(*levels), file_);
-      if (!mapped.ok()) return mapped.status();
-      if (mapped->NumTuples() != r.canon->size()) {
-        return Status::InvalidArgument(
-            "snapshot trie tuple count disagrees with payload rows");
-      }
-      r.trie = std::make_shared<const Trie>(std::move(*mapped));
-      ++stats.tries;
-    }
+    StatusOr<MappedPayload> r = MapPayload(p, &stats.mapped_bytes);
+    if (!r.ok()) return r.status();
+    if (r->trie != nullptr) ++stats.tries;
     for (const auto& b : p.bindings) {
-      if (b.with_trie && r.trie == nullptr) {
+      if (b.with_trie && r->trie == nullptr) {
         return Status::InvalidArgument(
             "snapshot binding needs a trie the payload does not carry");
       }
     }
-    restored.push_back(std::move(r));
+    restored.push_back(std::move(*r));
   }
 
   // Phase 2 — commit. Restore entry states first: each Restore bumps
@@ -1055,7 +898,7 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
     // Handles are moved in: coldest-first order plus released handles
     // let a byte budget evict the cold tail during adoption itself.
     ADJ_RETURN_IF_ERROR(cache.AdoptPermuted(phys[p.phys], p.perm,
-                                            std::move(restored[i].canon),
+                                            std::move(restored[i].rows),
                                             std::move(restored[i].trie),
                                             p.bindings));
     stats.bindings += p.bindings.size();

@@ -16,30 +16,27 @@
 
 namespace adj::persist {
 
-/// Snapshot file format v3 — the build-once / mmap-many layer
+/// Snapshot file format v4 — the build-once / mmap-many layer
 /// (docs/PERSISTENCE.md has the full layout diagram):
 ///
 ///   header | segment* | manifest segment | TOC segment | footer
 ///
-/// v2+ records each catalog name's full delta-aware entry state — the
-/// immutable base relation, the ordered append/tombstone delta chain
-/// (rows inline in the manifest; chains are bounded by the compaction
-/// threshold), the effective relation, and the per-relation version —
-/// so Save/Open round-trips a *written-to* catalog: a restored entry
-/// keeps its mmap-backed base and re-applies only O(delta) heap rows.
-/// v1 recorded one relation per name (the then-current content),
-/// which folded any pending chain on save.
+/// The manifest records each catalog name's full delta-aware entry
+/// state — the immutable base relation, the ordered append/tombstone
+/// delta chain (rows inline in the manifest; chains are bounded by the
+/// compaction threshold), the effective relation, and the
+/// per-relation version — so Save/Open round-trips a *written-to*
+/// catalog: a restored entry keeps its mmap-backed base and re-applies
+/// only O(delta) heap rows.
 ///
-/// Trie storage is where v2 and v3 differ. v2 writes every trie level
-/// twice: the raw value array (mmap-able) plus a delta+vbyte *mirror*
-/// used only for deep verification — and cannot represent a
-/// block-compressed level at all. v3 writes each level exactly once,
-/// in its execution form: raw levels as the raw array, compressed
-/// levels as their three blockcodec arrays (per-block minima, byte
-/// offsets, packed payload) that `Trie::FromMapped` views in place —
-/// a warm restart serves compressed tries with zero re-encode, and
-/// the trie mirror segments are gone. Rows-layer payloads keep their
-/// raw + mirror pair in both versions.
+/// Every artifact is stored exactly once, in the form it is served
+/// from: relation and payload rows as raw arrays, trie levels in their
+/// resident representation — raw levels as the raw value array,
+/// block-compressed levels as their three blockcodec arrays (per-block
+/// minima, byte offsets, packed payload) that `Trie::FromMapped` views
+/// in place, so a warm restart serves compressed tries with zero
+/// re-encode. Integrity rests on the per-segment checksums plus the
+/// structural validation of Open/Verify, not on redundant copies.
 ///
 /// All raw array segments use the exact little-endian layout
 /// `Relation::AliasSpan` and `Trie::FromMapped` can view in place,
@@ -49,18 +46,14 @@ namespace adj::persist {
 /// be mapped (and later paged) on demand.
 ///
 /// Versioning policy: `kVersion` bumps on any layout change; the
-/// reader accepts v2 and v3 (the writer emits v3 by default, v2 on
-/// request via WriteOptions), rejects anything else, and rejects
-/// snapshots written on a platform with different endianness or Value
-/// width.
+/// reader accepts exactly kVersion, rejects any other version with a
+/// Status error, and rejects snapshots written on a platform with
+/// different endianness or Value width.
 
 inline constexpr char kMagic[8] = {'A', 'D', 'J', 'S', 'N', 'A', 'P', '1'};
 inline constexpr char kFooterMagic[8] = {'A', 'D', 'J', 'S', 'E', 'O', 'F',
                                          '1'};
-inline constexpr uint32_t kVersion = 3;
-/// Oldest version the reader still accepts (and the writer still
-/// emits, for size comparisons against the dual-encoded layout).
-inline constexpr uint32_t kMinVersion = 2;
+inline constexpr uint32_t kVersion = 4;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr uint64_t kHeaderSize = 32;
 inline constexpr uint64_t kFooterSize = 40;
@@ -74,14 +67,11 @@ enum class SegmentKind : uint8_t {
   kPayloadRows = 2,    // raw rows of a permuted index payload
   kTrieValues = 3,     // raw value array of one trie level
   kTrieChild = 4,      // raw CSR child-offset array of one trie level
-  kRelationDict = 5,   // compressed mirror: dictionary-encoded relation
-  kPayloadBlock = 6,   // compressed mirror: delta+vbyte sorted rows
-  kTrieBlock = 7,      // v2 compressed mirror: delta+vbyte trie levels
-  // v3 block-compressed trie level (the execution format, mapped in
+  // Block-compressed trie level (the execution format, mapped in
   // place by Trie::FromMapped — see storage/block_codec.h).
-  kTrieLevelMins = 8,    // per-block first values (skip table)
-  kTrieLevelStarts = 9,  // per-block payload byte offsets (skip table)
-  kTrieLevelBytes = 10,  // packed zigzag-delta payload
+  kTrieLevelMins = 5,    // per-block first values (skip table)
+  kTrieLevelStarts = 6,  // per-block payload byte offsets (skip table)
+  kTrieLevelBytes = 7,   // packed zigzag-delta payload
 };
 
 /// One TOC row.
@@ -106,27 +96,15 @@ struct WriteStats {
   uint64_t tries = 0;      // payloads carrying a trie
   uint64_t bindings = 0;   // labeled bind/rel entries across payloads
   uint64_t file_bytes = 0;
-  uint64_t raw_bytes = 0;         // mmap-able array segments
-  uint64_t compressed_bytes = 0;  // mirror segments (v2 dual encoding)
-  uint64_t compressed_levels = 0;  // v3: trie levels stored block-compressed
+  uint64_t raw_bytes = 0;  // data segments: every artifact, once
+  uint64_t compressed_levels = 0;  // trie levels stored block-compressed
 };
 
 /// Serializes a catalog — relations, name bindings, and every resident
 /// permuted-index payload of its IndexCache — into one snapshot file.
 class SnapshotWriter {
  public:
-  /// `version` selects the file format: kVersion (v3, single trie
-  /// encoding) or kMinVersion (v2, raw levels + trie mirror — kept so
-  /// benches can measure what the dual encoding cost; compressed
-  /// tries are re-materialized raw to fit it).
-  struct WriteOptions {
-    uint32_t version = kVersion;
-  };
-
   /// Writes atomically (temp file + rename). Overwrites `path`.
-  static StatusOr<WriteStats> Write(const storage::Catalog& catalog,
-                                    const std::string& path,
-                                    const WriteOptions& options);
   static StatusOr<WriteStats> Write(const storage::Catalog& catalog,
                                     const std::string& path);
 };
@@ -147,17 +125,16 @@ class SnapshotReader {
   const std::vector<SegmentInfo>& segments() const { return segments_; }
   const std::shared_ptr<const MappedFile>& file() const { return file_; }
 
-  /// Format version of the opened file (kMinVersion..kVersion).
-  uint32_t version() const { return version_; }
-
   /// Recomputes and compares every segment checksum (including the
   /// TOC's own, already checked at Open).
   Status VerifyChecksums() const;
 
-  /// Deep verification: VerifyChecksums, then decodes every compressed
-  /// mirror and compares it value-for-value against the raw segment it
-  /// mirrors. The strongest offline integrity check; used by tests and
-  /// `adj_cli --verify`-style tooling, not by the serving path.
+  /// Deep verification: VerifyChecksums, then per index payload the
+  /// checks LoadInto runs before it adopts anything — mapped rows
+  /// sorted-unique in stored order, the trie's full `Trie::FromMapped`
+  /// structural validation, and trie tuple count == row count. The
+  /// strongest offline integrity check; used by tests and tooling, not
+  /// by the serving path.
   Status Verify() const;
 
   struct LoadStats {
@@ -185,11 +162,10 @@ class SnapshotReader {
     storage::Schema schema;
     uint64_t row_count = 0;
     uint32_t rows_seg = 0;
-    int64_t dict_seg = -1;  // -1: no compressed mirror
   };
   struct TrieLevelRef {
     uint64_t values_count = 0;
-    bool compressed = false;  // v3: level stored in blockcodec form
+    bool compressed = false;  // level stored in blockcodec form
     uint32_t values_seg = 0;  // raw levels only
     int64_t mins_seg = -1;    // compressed levels only
     int64_t starts_seg = -1;
@@ -201,10 +177,8 @@ class SnapshotReader {
     std::vector<int> perm;
     uint64_t row_count = 0;
     uint32_t rows_seg = 0;
-    int64_t block_seg = -1;
     bool has_trie = false;
     std::vector<TrieLevelRef> levels;
-    int64_t trie_block_seg = -1;
     std::vector<storage::IndexCache::Binding> bindings;
   };
 
@@ -215,9 +189,21 @@ class SnapshotReader {
 
   /// Materializes one payload trie's MappedLevel views (raw or
   /// compressed per level), accumulating viewed bytes into
-  /// `mapped_bytes` when given. Shared by Verify and LoadInto.
+  /// `mapped_bytes`.
   StatusOr<std::vector<storage::Trie::MappedLevel>> TrieLevels(
       const Payload& p, uint64_t* mapped_bytes) const;
+
+  /// One payload's rows and trie as views of the mapped file, after
+  /// the checks the join kernels rely on: rows sorted-unique, trie
+  /// structure valid (Trie::FromMapped), trie tuple count == row
+  /// count. Shared by Verify and LoadInto; accumulates viewed bytes
+  /// into `mapped_bytes`.
+  struct MappedPayload {
+    std::shared_ptr<const storage::Relation> rows;
+    std::shared_ptr<const storage::Trie> trie;  // null: no trie stored
+  };
+  StatusOr<MappedPayload> MapPayload(const Payload& p,
+                                     uint64_t* mapped_bytes) const;
 
   /// One delta batch's rows as decoded from the manifest (row-major,
   /// base arity), turned into DeltaBatch relations at load time.
@@ -235,7 +221,6 @@ class SnapshotReader {
   };
 
   std::shared_ptr<const MappedFile> file_;
-  uint32_t version_ = kVersion;
   std::vector<SegmentInfo> segments_;
   std::vector<PhysRel> relations_;
   std::vector<NameEntry> names_;

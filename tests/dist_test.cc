@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 
 #include "common/rng.h"
@@ -9,6 +10,7 @@
 #include "dist/comm_stats.h"
 #include "dist/hcube.h"
 #include "query/queries.h"
+#include "storage/trie.h"
 #include "wcoj/leapfrog.h"
 #include "wcoj/naive_join.h"
 
@@ -176,9 +178,12 @@ TEST(HCubeTest, AccountingInvariants) {
   // Same logical tuple movement.
   EXPECT_EQ(push->comm.tuple_copies, pull->comm.tuple_copies);
   EXPECT_EQ(pull->comm.tuple_copies, merge->comm.tuple_copies);
-  // Push is the most expensive shuffle (Fig. 9a); Merge ships tries,
-  // whose payload differs from raw tuples but stays in the same ballpark.
+  // Push is the most expensive shuffle (Fig. 9a).
   EXPECT_GT(push->comm.seconds, pull->comm.seconds);
+  // Fig. 9's byte shape: sorted blocks ship below raw records, and
+  // pre-built tries (shared prefixes stored once) below sorted blocks.
+  EXPECT_GT(push->comm.bytes, pull->comm.bytes);
+  EXPECT_GT(pull->comm.bytes, merge->comm.bytes);
   // Merge's local build (k-way merge) beats full sorting (Fig. 9b).
   EXPECT_LE(merge->build_seconds_sum, push->build_seconds_sum * 2.0);
   // Identical shard contents across variants.
@@ -188,6 +193,36 @@ TEST(HCubeTest, AccountingInvariants) {
       EXPECT_TRUE(std::ranges::equal(c_pull.shard(s).atoms[a]->raw(), c_merge.shard(s).atoms[a]->raw()));
     }
   }
+}
+
+TEST(HCubeTest, SingleServerMergeBytesIgnoreTrieCompression) {
+  // The single-server alias path ships the caller's trie as is, and
+  // IndexCache compresses cached tries by default: the modeled Merge
+  // bytes must not depend on the trie's resident form, and must match
+  // the routed (non-aliased) shuffle of the same rows.
+  Rng rng(7);
+  auto rel = std::make_shared<storage::Relation>(
+      dataset::ErdosRenyi(2000, 40000, rng));
+  rel->SortAndDedup();
+  auto raw = std::make_shared<const storage::Trie>(storage::Trie::Build(*rel));
+  auto compressed = std::make_shared<const storage::Trie>(
+      storage::Trie::Compress(storage::Trie::Build(*rel)));
+  ASSERT_TRUE(compressed->any_compressed());
+
+  ClusterConfig cfg;
+  cfg.num_servers = 1;
+  const ShareVector share{{1, 1}};
+  auto merge_bytes = [&](const HCubeInput& in) -> uint64_t {
+    Cluster cluster(cfg);
+    auto result = HCubeShuffle({in}, share, HCubeVariant::kMerge, &cluster);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? result->comm.bytes : 0;
+  };
+  const uint64_t routed = merge_bytes({rel.get(), {0, 1}});
+  EXPECT_GT(routed, 0u);
+  EXPECT_EQ(merge_bytes({rel.get(), {0, 1}, nullptr, rel, raw}), routed);
+  EXPECT_EQ(merge_bytes({rel.get(), {0, 1}, nullptr, rel, compressed}),
+            routed);
 }
 
 TEST(HCubeTest, TupleDupMatchesDupCubesWhenCubesFitServers) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -40,9 +41,9 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
             std::streamsize(bytes.size()));
 }
 
-/// A small catalog with deliberately unsorted rows (the dictionary
-/// codec must not assume canonical order) and an alias name sharing
-/// the physical relation.
+/// A small catalog with deliberately unsorted rows (catalog relations
+/// are stored as-is; only index payloads are canonical) and an alias
+/// name sharing the physical relation.
 storage::Catalog MakeCatalog() {
   storage::Catalog db;
   storage::Relation edges((storage::Schema({0, 1})));
@@ -201,20 +202,68 @@ TEST(SnapshotRoundTrip, MappedTriesAgreeWithBuild) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotRoundTrip, LegacyV2WriteRoundTrips) {
-  const std::string path = TempPath("legacy_v2.adjsnap");
+uint64_t GetLittleEndian64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= uint64_t(p[i]) << (8 * i);
+  return v;
+}
+
+TEST(SnapshotRoundTrip, StoresEachArtifactOnce) {
+  const std::string path = TempPath("single_copy.adjsnap");
   uint64_t in_memory_count = 0;
   api::Database db = MakeWarmDatabase(&in_memory_count);
-
-  // Explicit v2 write: raw levels + compressed mirror, no
-  // block-compressed trie segments (compressed tries re-materialize
-  // raw to fit the old format).
   StatusOr<persist::WriteStats> stats =
-      persist::SnapshotWriter::Write(db.catalog(), path,
-                                     {.version = persist::kMinVersion});
+      persist::SnapshotWriter::Write(db.catalog(), path);
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->compressed_levels, 0u);
   EXPECT_GT(stats->tries, 0u);
+  EXPECT_GT(stats->compressed_levels, 0u);  // IndexCache compresses
+
+  // The file is framing plus one copy of each artifact: beyond
+  // raw_bytes there is only the header, footer, TOC, manifest, and at
+  // most 63 bytes of alignment padding in front of each segment.
+  const std::vector<uint8_t> bytes = ReadFile(path);
+  ASSERT_EQ(bytes.size(), stats->file_bytes);
+  StatusOr<persist::SnapshotReader> reader =
+      persist::SnapshotReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  uint64_t data_bytes = 0;
+  uint64_t manifest_bytes = 0;
+  for (const persist::SegmentInfo& seg : reader->segments()) {
+    if (seg.kind == persist::SegmentKind::kManifest) {
+      manifest_bytes += seg.size;
+    } else {
+      data_bytes += seg.size;
+    }
+  }
+  EXPECT_EQ(data_bytes, stats->raw_bytes);
+  // ... and raw_bytes is one resident copy of what the catalog holds:
+  // every physical relation, every payload's rows, every trie.
+  std::set<const storage::Relation*> relations;
+  uint64_t resident = 0;
+  for (const std::string& name : db.catalog().Names()) {
+    StatusOr<storage::Catalog::EntryState> state =
+        db.catalog().Inspect(name);
+    ASSERT_TRUE(state.ok());
+    for (const auto& rel : {state->base, state->effective}) {
+      if (relations.insert(rel.get()).second) resident += rel->SizeBytes();
+    }
+  }
+  for (const auto& p : db.catalog().index_cache().ExportPermutedIndexes()) {
+    if (!relations.contains(static_cast<const storage::Relation*>(
+            p.identity))) {
+      continue;  // derived state (bags, shards) is not persisted
+    }
+    resident += p.rows->SizeBytes();
+    if (p.trie != nullptr) resident += p.trie->ResidentBytes();
+  }
+  EXPECT_EQ(stats->raw_bytes, resident);
+  const uint64_t toc_bytes =
+      GetLittleEndian64(bytes.data() + bytes.size() - persist::kFooterSize + 8);
+  const uint64_t framing = persist::kHeaderSize + persist::kFooterSize +
+                           toc_bytes + manifest_bytes +
+                           (persist::kSegmentAlign - 1) *
+                               reader->segments().size();
+  EXPECT_LE(stats->file_bytes - stats->raw_bytes, framing);
 
   api::Database restarted;
   ASSERT_TRUE(restarted.Open(path).ok());
@@ -236,6 +285,29 @@ TEST(SnapshotRoundTrip, DeepVerifyPasses) {
   ASSERT_TRUE(reader.ok()) << reader.status();
   EXPECT_TRUE(reader->VerifyChecksums().ok());
   EXPECT_TRUE(reader->Verify().ok());
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotRoundTrip, DeepVerifyRejectsUnsortedPayloadRows) {
+  // Checksums only prove the bytes are the ones written; Verify also
+  // proves a payload is servable. Adopt rows the join kernels cannot
+  // gallop through (not sorted), save them with valid checksums, and
+  // expect only the deep check to object.
+  const std::string path = TempPath("unsorted_payload.adjsnap");
+  storage::Catalog db = MakeCatalog();
+  StatusOr<std::shared_ptr<const storage::Relation>> base = db.GetShared("E");
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(db.index_cache()
+                  .AdoptPermuted(*base, {0, 1}, *base, nullptr, {})
+                  .ok());
+  ASSERT_TRUE(persist::SnapshotWriter::Write(db, path).ok());
+  StatusOr<persist::SnapshotReader> reader =
+      persist::SnapshotReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_TRUE(reader->VerifyChecksums().ok());
+  const Status verified = reader->Verify();
+  EXPECT_FALSE(verified.ok());
+  EXPECT_NE(verified.ToString().find("sorted-unique"), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -351,14 +423,18 @@ TEST_F(SnapshotCorruptionTest, WrongMagic) {
 }
 
 TEST_F(SnapshotCorruptionTest, WrongVersion) {
-  std::vector<uint8_t> mutated = bytes_;
-  mutated[8] = 0x7F;  // version field
-  WriteFile(path_, mutated);
-  StatusOr<persist::SnapshotReader> reader =
-      persist::SnapshotReader::Open(path_);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_NE(reader.status().ToString().find("version"), std::string::npos);
-  ExpectRejected("wrong version");
+  // A future version, and v3 — the previous layout, with relation and
+  // payload mirrors — are both rejected by the v4-only reader.
+  for (uint8_t version : {uint8_t{0x7F}, uint8_t{3}}) {
+    std::vector<uint8_t> mutated = bytes_;
+    mutated[8] = version;  // version field (little-endian low byte)
+    WriteFile(path_, mutated);
+    StatusOr<persist::SnapshotReader> reader =
+        persist::SnapshotReader::Open(path_);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_NE(reader.status().ToString().find("version"), std::string::npos);
+    ExpectRejected("version " + std::to_string(version));
+  }
 }
 
 TEST_F(SnapshotCorruptionTest, ForeignEndianness) {
