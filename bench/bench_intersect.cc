@@ -94,10 +94,6 @@ double TimeKernel(Kernel k, const std::vector<Value>& a,
         n = Intersect2Scalar(a, b, out->data(), nullptr, 1, nullptr, 1,
                              &stats);
         break;
-      case Kernel::kSse42:
-        n = Intersect2Sse42(a, b, out->data(), nullptr, 1, nullptr, 1,
-                            &stats);
-        break;
       case Kernel::kAvx2:
         n = Intersect2Avx2(a, b, out->data(), nullptr, 1, nullptr, 1,
                            &stats);

@@ -90,7 +90,7 @@ class Result {
   uint64_t delta_rows_merged() const { return run_.report.delta_rows_merged; }
 
   /// Intersection-kernel accounting for this run: 2-way intersections
-  /// served by a SIMD kernel (SSE4.2/AVX2) vs the scalar galloping
+  /// served by a SIMD kernel (AVX2) vs the scalar galloping
   /// baseline. scalar_fallbacks() > 0 on SIMD-capable hardware means
   /// dispatch was forced off (or the build lacks the intrinsics).
   uint64_t simd_intersections() const {

@@ -17,13 +17,15 @@ using storage::Trie;
 /// block-compressed) through the shared kernel layer, appending common
 /// values to `out`. `views` and `caches` (one block-decode cache per
 /// participant) are caller state reused across bindings — consecutive
-/// bindings probe adjacent ranges, so most block decodes hit.
+/// bindings probe adjacent ranges, so most block decodes hit. `stats`
+/// is the run's single kernel-counter sink.
 void IntersectRanges(const std::vector<const Trie*>& tries,
                      const std::vector<int>& levels,
                      const std::vector<Trie::Range>& ranges,
                      std::vector<wcoj::intersect::RunView>* views,
                      storage::blockcodec::DecodeCache* caches,
-                     std::vector<Value>* out, uint64_t* blocks_decoded) {
+                     std::vector<Value>* out,
+                     wcoj::intersect::KernelStats* stats) {
   namespace in = wcoj::intersect;
   const int k = static_cast<int>(tries.size());
   views->resize(static_cast<size_t>(k));
@@ -40,12 +42,9 @@ void IntersectRanges(const std::vector<const Trie*>& tries,
   }
   const size_t base = out->size();
   out->resize(base + cap);
-  in::KernelStats stats;
-  const size_t n = in::IntersectKValuesRuns(views->data(), k,
-                                            out->data() + base, caches,
-                                            &stats);
+  const size_t n =
+      in::IntersectKValues(views->data(), k, out->data() + base, caches, stats);
   out->resize(base + n);
-  *blocks_decoded += stats.blocks_decoded;
 }
 
 }  // namespace
@@ -58,6 +57,16 @@ StatusOr<RunReport> RunBigJoin(const query::Query& q,
   RunReport report;
   report.method = "BigJoin";
   report.rounds = 0;
+  // Kernel counters accumulate over every round and are copied into
+  // the report on each exit.
+  wcoj::intersect::KernelStats kernel_stats;
+  auto finish = [&](Status status) {
+    report.status = std::move(status);
+    report.simd_intersections = kernel_stats.simd_intersections;
+    report.scalar_fallbacks = kernel_stats.scalar_fallbacks;
+    report.blocks_decoded = kernel_stats.blocks_decoded;
+    return report;
+  };
   const dist::NetworkModel& net = cluster->config().net;
   const int n_servers = cluster->num_servers();
   WallTimer deadline;
@@ -159,17 +168,15 @@ StatusOr<RunReport> RunBigJoin(const query::Query& q,
       if (dead) continue;
       candidates.clear();
       IntersectRanges(part_tries, part_levels, ranges, &run_views,
-                      isect_caches.data(), &candidates,
-                      &report.blocks_decoded);
+                      isect_caches.data(), &candidates, &kernel_stats);
       for (Value v : candidates) {
         for (int c = 0; c < width; ++c) next.push_back(prefix[c]);
         next.push_back(v);
         ++produced;
       }
       if (produced > limits.max_materialized_rows) {
-        report.status = Status::ResourceExhausted(
-            "BigJoin binding set exceeded row limit");
-        return report;
+        return finish(Status::ResourceExhausted(
+            "BigJoin binding set exceeded row limit"));
       }
     }
     report.comp_s += round_timer.Seconds() / n_servers;
@@ -180,13 +187,11 @@ StatusOr<RunReport> RunBigJoin(const query::Query& q,
     const uint64_t cluster_mem =
         uint64_t(n_servers) * cluster->config().memory_per_server_bytes;
     if (next.size() * sizeof(Value) > cluster_mem) {
-      report.status = Status::ResourceExhausted(
-          "BigJoin binding set exceeds cluster memory");
-      return report;
+      return finish(Status::ResourceExhausted(
+          "BigJoin binding set exceeds cluster memory"));
     }
     if (deadline.Seconds() > limits.max_seconds) {
-      report.status = Status::DeadlineExceeded("BigJoin time budget");
-      return report;
+      return finish(Status::DeadlineExceeded("BigJoin time budget"));
     }
     bindings = std::move(next);
     width = i + 1;
@@ -194,7 +199,7 @@ StatusOr<RunReport> RunBigJoin(const query::Query& q,
     if (num_bindings == 0) break;
   }
   report.output_count = num_bindings;
-  return report;
+  return finish(Status::OK());
 }
 
 }  // namespace adj::exec

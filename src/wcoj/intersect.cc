@@ -15,14 +15,6 @@ namespace {
 
 std::atomic<Kernel> g_forced{Kernel::kAuto};
 
-Kernel DetectBest() {
-#if defined(ADJ_INTERSECT_X86) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx2")) return Kernel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return Kernel::kSse42;
-#endif
-  return Kernel::kScalar;
-}
-
 }  // namespace
 
 bool CpuSupports(Kernel k) {
@@ -30,12 +22,6 @@ bool CpuSupports(Kernel k) {
     case Kernel::kAuto:
     case Kernel::kScalar:
       return true;
-    case Kernel::kSse42:
-#if defined(ADJ_INTERSECT_X86) && defined(__GNUC__)
-      return __builtin_cpu_supports("sse4.2");
-#else
-      return false;
-#endif
     case Kernel::kAvx2:
 #if defined(ADJ_INTERSECT_X86) && defined(__GNUC__)
       return __builtin_cpu_supports("avx2");
@@ -49,7 +35,8 @@ bool CpuSupports(Kernel k) {
 void SetKernel(Kernel k) { g_forced.store(k, std::memory_order_relaxed); }
 
 Kernel ActiveKernel() {
-  static const Kernel detected = DetectBest();
+  static const Kernel detected =
+      CpuSupports(Kernel::kAvx2) ? Kernel::kAvx2 : Kernel::kScalar;
   const Kernel forced = g_forced.load(std::memory_order_relaxed);
   if (forced == Kernel::kAuto) return detected;
   return CpuSupports(forced) ? forced : Kernel::kScalar;
@@ -61,8 +48,6 @@ const char* KernelName(Kernel k) {
       return "auto";
     case Kernel::kScalar:
       return "scalar";
-    case Kernel::kSse42:
-      return "sse4.2";
     case Kernel::kAvx2:
       return "avx2";
   }
@@ -137,7 +122,7 @@ size_t Intersect2Scalar(std::span<const Value> a, std::span<const Value> b,
 
 #if defined(ADJ_INTERSECT_X86) && defined(__GNUC__)
 
-// Block-compare kernels: hold one probe value x = a[i], compare it
+// Block-compare kernel: hold one probe value x = a[i], compare it
 // against a vector's worth of b in one shot. Per iteration this either
 // emits a match, retires x, or skips a whole block of b — and when an
 // entire block sits below x, it falls back to galloping, so the kernel
@@ -190,49 +175,7 @@ __attribute__((target("avx2"))) size_t Intersect2Avx2(
                     stride_b, stats);
 }
 
-__attribute__((target("sse4.2"))) size_t Intersect2Sse42(
-    std::span<const Value> a, std::span<const Value> b, Value* out_vals,
-    uint32_t* out_pa, size_t stride_a, uint32_t* out_pb, size_t stride_b,
-    KernelStats* stats) {
-  const size_t na = a.size(), nb = b.size();
-  size_t i = 0, j = 0, n = 0;
-  while (i < na && j + 4 <= nb) {
-    const Value x = a[i];
-    const __m128i vx = _mm_set1_epi32(static_cast<int>(x));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.data() + j));
-    const __m128i eq = _mm_cmpeq_epi32(vx, vb);
-    const unsigned eqm =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq)));
-    if (eqm != 0) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(eqm));
-      out_vals[n] = x;
-      if (out_pa != nullptr) out_pa[n * stride_a] = static_cast<uint32_t>(i);
-      if (out_pb != nullptr) {
-        out_pb[n * stride_b] = static_cast<uint32_t>(j + lane);
-      }
-      ++n;
-      ++i;
-      j += lane + 1;
-      continue;
-    }
-    const __m128i le = _mm_cmpeq_epi32(_mm_max_epu32(vb, vx), vx);
-    const unsigned ltm =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(le)));
-    if (ltm == 0xFu) {
-      j = SeekGEQ(b, x, j + 4, stats);
-    } else if (ltm == 0) {
-      i = SeekGEQ(a, b[j], i + 1, stats);
-    } else {
-      j += static_cast<unsigned>(__builtin_popcount(ltm));
-      ++i;
-    }
-  }
-  return ScalarTail(a, b, i, j, n, out_vals, out_pa, stride_a, out_pb,
-                    stride_b, stats);
-}
-
-// All-pairs ("shuffling", à la Lemire/Schlegel) variants for the dense
+// All-pairs ("shuffling", à la Lemire/Schlegel) variant for the dense
 // similar-size shape, where block-compare degenerates to one probe per
 // element and only ties scalar: compare a full vector of a against
 // every rotation of a full vector of b, compress-store the matching a
@@ -332,48 +275,9 @@ __attribute__((target("avx2"))) size_t IntersectDenseAvx2(
   return ScalarTail(a, b, i, j, n, out_vals, nullptr, 1, nullptr, 1, stats);
 }
 
-__attribute__((target("sse4.2"))) size_t IntersectDenseSse42(
-    std::span<const Value> a, std::span<const Value> b, Value* out_vals,
-    KernelStats* stats) {
-  const size_t na = a.size(), nb = b.size();
-  size_t i = 0, j = 0, n = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.data() + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.data() + j));
-    __m128i eq = _mm_cmpeq_epi32(va, vb);
-    eq = _mm_or_si128(
-        eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1))));
-    eq = _mm_or_si128(
-        eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2))));
-    eq = _mm_or_si128(
-        eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3))));
-    unsigned mask =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq)));
-    while (mask != 0) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(mask));
-      out_vals[n++] = a[i + lane];
-      mask &= mask - 1;
-    }
-    const Value amax = a[i + 3], bmax = b[j + 3];
-    if (amax <= bmax) i += 4;
-    if (bmax <= amax) j += 4;
-  }
-  return ScalarTail(a, b, i, j, n, out_vals, nullptr, 1, nullptr, 1, stats);
-}
-
 }  // namespace
 
-#else  // !x86: the SIMD entry points exist but must not be called.
-
-size_t Intersect2Sse42(std::span<const Value> a, std::span<const Value> b,
-                       Value* out_vals, uint32_t* out_pa, size_t stride_a,
-                       uint32_t* out_pb, size_t stride_b,
-                       KernelStats* stats) {
-  return Intersect2Scalar(a, b, out_vals, out_pa, stride_a, out_pb, stride_b,
-                          stats);
-}
+#else  // !x86: the AVX2 entry point exists but must not be called.
 
 size_t Intersect2Avx2(std::span<const Value> a, std::span<const Value> b,
                       Value* out_vals, uint32_t* out_pa, size_t stride_a,
@@ -394,6 +298,7 @@ size_t Intersect2(std::span<const Value> a, std::span<const Value> b,
     std::swap(out_pa, out_pb);
     std::swap(stride_a, stride_b);
   }
+  const bool avx2 = ActiveKernel() == Kernel::kAvx2;
 #if defined(ADJ_INTERSECT_X86) && defined(__GNUC__)
   // Dense similar-size shape: block-compare retires one probe per
   // element and only ties scalar there; the all-pairs kernel wins but
@@ -401,97 +306,21 @@ size_t Intersect2(std::span<const Value> a, std::span<const Value> b,
   // strictly trail their reads — revisits input lanes after emitting,
   // so it must not run in place (the k-way reduction aliases out_vals
   // with its intermediate input).
-  if (out_pa == nullptr && out_pb == nullptr && DenseSimilar(a, b) &&
+  if (avx2 && out_pa == nullptr && out_pb == nullptr && DenseSimilar(a, b) &&
       !OverlapsOutput(out_vals, std::min(a.size(), b.size()), a) &&
       !OverlapsOutput(out_vals, std::min(a.size(), b.size()), b)) {
-    switch (ActiveKernel()) {
-      case Kernel::kAvx2:
-        if (stats != nullptr) ++stats->simd_intersections;
-        return IntersectDenseAvx2(a, b, out_vals, stats);
-      case Kernel::kSse42:
-        if (stats != nullptr) ++stats->simd_intersections;
-        return IntersectDenseSse42(a, b, out_vals, stats);
-      default:
-        break;
-    }
+    if (stats != nullptr) ++stats->simd_intersections;
+    return IntersectDenseAvx2(a, b, out_vals, stats);
   }
 #endif
-  switch (ActiveKernel()) {
-    case Kernel::kAvx2:
-      if (stats != nullptr) ++stats->simd_intersections;
-      return Intersect2Avx2(a, b, out_vals, out_pa, stride_a, out_pb,
-                            stride_b, stats);
-    case Kernel::kSse42:
-      if (stats != nullptr) ++stats->simd_intersections;
-      return Intersect2Sse42(a, b, out_vals, out_pa, stride_a, out_pb,
-                             stride_b, stats);
-    default:
-      if (stats != nullptr) ++stats->scalar_fallbacks;
-      return Intersect2Scalar(a, b, out_vals, out_pa, stride_a, out_pb,
-                              stride_b, stats);
+  if (avx2) {
+    if (stats != nullptr) ++stats->simd_intersections;
+    return Intersect2Avx2(a, b, out_vals, out_pa, stride_a, out_pb, stride_b,
+                          stats);
   }
-}
-
-namespace {
-
-/// Fills ord[0..k) with span indexes sorted by ascending size
-/// (insertion sort: k is the number of atoms covering one attribute —
-/// single digits in practice).
-inline void OrderBySize(const std::span<const Value>* views, int k,
-                        uint32_t* ord) {
-  for (int c = 0; c < k; ++c) ord[c] = static_cast<uint32_t>(c);
-  for (int c = 1; c < k; ++c) {
-    const uint32_t v = ord[c];
-    int p = c - 1;
-    while (p >= 0 && views[ord[p]].size() > views[v].size()) {
-      ord[p + 1] = ord[p];
-      --p;
-    }
-    ord[p + 1] = v;
-  }
-}
-
-}  // namespace
-
-size_t IntersectK(const std::span<const Value>* views, int k, Value* out_vals,
-                  uint32_t* out_pos, const KScratch& scratch,
-                  KernelStats* stats) {
-  if (k <= 0) return 0;
-  if (k == 1) {
-    const std::span<const Value> v = views[0];
-    std::copy(v.begin(), v.end(), out_vals);
-    for (size_t t = 0; t < v.size(); ++t) {
-      out_pos[t] = static_cast<uint32_t>(t);
-    }
-    return v.size();
-  }
-  // Smallest spans first: every intermediate then fits in the overall
-  // minimum span size, which is what the caller's buffers hold.
-  uint32_t* ord = scratch.ord;
-  OrderBySize(views, k, ord);
-  const size_t kk = static_cast<size_t>(k);
-  size_t n = Intersect2(views[ord[0]], views[ord[1]], out_vals,
-                        out_pos + ord[0], kk, out_pos + ord[1], kk, stats);
-  for (int c = 2; c < k && n > 0; ++c) {
-    const uint32_t vi = ord[c];
-    const size_t m =
-        Intersect2(std::span<const Value>(out_vals, n), views[vi], out_vals,
-                   scratch.pa, 1, scratch.pb, 1, stats);
-    // Compact surviving position rows in place (pa ascends and
-    // pa[t] >= t, so reads never trail writes), then scatter the new
-    // span's positions into its original column.
-    for (size_t t = 0; t < m; ++t) {
-      const uint32_t src = scratch.pa[t];
-      if (src != t) {
-        for (int cc = 0; cc < c; ++cc) {
-          out_pos[t * kk + ord[cc]] = out_pos[src * kk + ord[cc]];
-        }
-      }
-      out_pos[t * kk + vi] = scratch.pb[t];
-    }
-    n = m;
-  }
-  return n;
+  if (stats != nullptr) ++stats->scalar_fallbacks;
+  return Intersect2Scalar(a, b, out_vals, out_pa, stride_a, out_pb, stride_b,
+                          stats);
 }
 
 namespace {
@@ -703,35 +532,12 @@ size_t Intersect2CC(const CompressedRun& a, const CompressedRun& b,
   return n;
 }
 
-size_t IntersectKValues(const std::span<const Value>* views, int k,
-                        Value* out_vals, KernelStats* stats) {
-  if (k <= 0) return 0;
-  if (k == 1) {
-    std::copy(views[0].begin(), views[0].end(), out_vals);
-    return views[0].size();
-  }
-  constexpr int kStackOrd = 32;
-  uint32_t ord_stack[kStackOrd];
-  std::vector<uint32_t> ord_heap;
-  uint32_t* ord = ord_stack;
-  if (k > kStackOrd) {
-    ord_heap.resize(static_cast<size_t>(k));
-    ord = ord_heap.data();
-  }
-  OrderBySize(views, k, ord);
-  size_t n = Intersect2(views[ord[0]], views[ord[1]], out_vals, nullptr, 1,
-                        nullptr, 1, stats);
-  for (int c = 2; c < k && n > 0; ++c) {
-    n = Intersect2(std::span<const Value>(out_vals, n), views[ord[c]],
-                   out_vals, nullptr, 1, nullptr, 1, stats);
-  }
-  return n;
-}
-
 namespace {
 
-/// OrderBySize over tagged runs.
-inline void OrderRunsBySize(const RunView* views, int k, uint32_t* ord) {
+/// Fills ord[0..k) with run indexes sorted by ascending size
+/// (insertion sort: k is the number of atoms covering one attribute —
+/// single digits in practice).
+inline void OrderBySize(const RunView* views, int k, uint32_t* ord) {
   for (int c = 0; c < k; ++c) ord[c] = static_cast<uint32_t>(c);
   for (int c = 1; c < k; ++c) {
     const uint32_t v = ord[c];
@@ -744,8 +550,9 @@ inline void OrderRunsBySize(const RunView* views, int k, uint32_t* ord) {
   }
 }
 
-/// 2-way dispatch over two tagged runs (fresh, non-aliased output).
-/// Caches are per side, parallel to the views.
+/// 2-way dispatch over two tagged runs. out_vals may alias a raw
+/// `a` (the k-way reduction intersects its intermediate in place).
+/// A run's cache is only touched when the run is compressed.
 inline size_t Intersect2Runs(const RunView& a, const RunView& b,
                              Value* out_vals, uint32_t* out_pa,
                              size_t stride_a, uint32_t* out_pb,
@@ -768,7 +575,7 @@ inline size_t Intersect2Runs(const RunView& a, const RunView& b,
 }
 
 /// Streams a whole compressed run into out_vals; positions (if
-/// requested) are the identity, as in IntersectK's k == 1 case.
+/// requested) are the identity, as for a raw k == 1 input.
 inline size_t StreamRun(const CompressedRun& r, Value* out_vals,
                         uint32_t* out_pos, bc::DecodeCache* cache,
                         KernelStats* stats) {
@@ -788,9 +595,9 @@ inline size_t StreamRun(const CompressedRun& r, Value* out_vals,
 
 }  // namespace
 
-size_t IntersectKRuns(const RunView* views, int k, Value* out_vals,
-                      uint32_t* out_pos, const KScratch& scratch,
-                      bc::DecodeCache* caches, KernelStats* stats) {
+size_t IntersectK(const RunView* views, int k, Value* out_vals,
+                  uint32_t* out_pos, const KScratch& scratch,
+                  bc::DecodeCache* caches, KernelStats* stats) {
   if (k <= 0) return 0;
   if (k == 1) {
     const RunView& v = views[0];
@@ -798,58 +605,55 @@ size_t IntersectKRuns(const RunView* views, int k, Value* out_vals,
       return StreamRun(v.comp, out_vals, out_pos, caches, stats);
     }
     std::copy(v.raw.begin(), v.raw.end(), out_vals);
-    for (size_t t = 0; t < v.raw.size(); ++t) {
-      out_pos[t] = static_cast<uint32_t>(t);
+    if (out_pos != nullptr) {
+      for (size_t t = 0; t < v.raw.size(); ++t) {
+        out_pos[t] = static_cast<uint32_t>(t);
+      }
     }
     return v.raw.size();
   }
-  uint32_t* ord = scratch.ord;
-  OrderRunsBySize(views, k, ord);
+  // Smallest runs first: every intermediate then fits in the overall
+  // minimum run size, which is what the caller's buffers hold.
+  uint32_t* const ord = scratch.ord;
+  OrderBySize(views, k, ord);
+  // IntersectKValues passes no position matrix and no pa/pb, which
+  // also lets the 2-way dispatch pick values-only kernels.
+  const bool track = out_pos != nullptr;
   const size_t kk = static_cast<size_t>(k);
-  size_t n = Intersect2Runs(views[ord[0]], views[ord[1]], out_vals,
-                            out_pos + ord[0], kk, out_pos + ord[1], kk,
-                            caches + ord[0], caches + ord[1], stats);
+  auto cache_of = [&](uint32_t j) {
+    return views[j].compressed ? caches + j : nullptr;
+  };
+  size_t n = Intersect2Runs(
+      views[ord[0]], views[ord[1]], out_vals,
+      track ? out_pos + ord[0] : nullptr, kk,
+      track ? out_pos + ord[1] : nullptr, kk, cache_of(ord[0]),
+      cache_of(ord[1]), stats);
   for (int c = 2; c < k && n > 0; ++c) {
     const uint32_t vi = ord[c];
-    const RunView& v = views[vi];
-    size_t m;
-    if (v.compressed) {
-      // Compressed run against the raw intermediate: the run is the
-      // "a" side of Intersect2CR, so the position sinks swap.
-      m = Intersect2CR(v.comp, std::span<const Value>(out_vals, n), out_vals,
-                       scratch.pb, 1, scratch.pa, 1, caches + vi, stats);
-    } else {
-      m = Intersect2(std::span<const Value>(out_vals, n), v.raw, out_vals,
-                     scratch.pa, 1, scratch.pb, 1, stats);
-    }
-    // Compact surviving position rows in place (pa ascends and
-    // pa[t] >= t, so reads never trail writes), then scatter the new
-    // run's positions into its original column.
-    for (size_t t = 0; t < m; ++t) {
-      const uint32_t src = scratch.pa[t];
-      if (src != t) {
-        for (int cc = 0; cc < c; ++cc) {
-          out_pos[t * kk + ord[cc]] = out_pos[src * kk + ord[cc]];
+    const size_t m = Intersect2Runs(
+        RunView::Raw(std::span<const Value>(out_vals, n)), views[vi],
+        out_vals, scratch.pa, 1, scratch.pb, 1, nullptr, cache_of(vi), stats);
+    if (track) {
+      // Compact surviving position rows in place (pa ascends and
+      // pa[t] >= t, so reads never trail writes), then scatter the new
+      // run's positions into its original column.
+      for (size_t t = 0; t < m; ++t) {
+        const uint32_t src = scratch.pa[t];
+        if (src != t) {
+          for (int cc = 0; cc < c; ++cc) {
+            out_pos[t * kk + ord[cc]] = out_pos[src * kk + ord[cc]];
+          }
         }
+        out_pos[t * kk + vi] = scratch.pb[t];
       }
-      out_pos[t * kk + vi] = scratch.pb[t];
     }
     n = m;
   }
   return n;
 }
 
-size_t IntersectKValuesRuns(const RunView* views, int k, Value* out_vals,
-                            bc::DecodeCache* caches, KernelStats* stats) {
-  if (k <= 0) return 0;
-  if (k == 1) {
-    const RunView& v = views[0];
-    if (v.compressed) {
-      return StreamRun(v.comp, out_vals, nullptr, caches, stats);
-    }
-    std::copy(v.raw.begin(), v.raw.end(), out_vals);
-    return v.raw.size();
-  }
+size_t IntersectKValues(const RunView* views, int k, Value* out_vals,
+                        bc::DecodeCache* caches, KernelStats* stats) {
   constexpr int kStackOrd = 32;
   uint32_t ord_stack[kStackOrd];
   std::vector<uint32_t> ord_heap;
@@ -858,22 +662,8 @@ size_t IntersectKValuesRuns(const RunView* views, int k, Value* out_vals,
     ord_heap.resize(static_cast<size_t>(k));
     ord = ord_heap.data();
   }
-  OrderRunsBySize(views, k, ord);
-  size_t n = Intersect2Runs(views[ord[0]], views[ord[1]], out_vals, nullptr, 1,
-                            nullptr, 1, caches + ord[0], caches + ord[1],
-                            stats);
-  for (int c = 2; c < k && n > 0; ++c) {
-    const uint32_t vi = ord[c];
-    const RunView& v = views[vi];
-    if (v.compressed) {
-      n = Intersect2CR(v.comp, std::span<const Value>(out_vals, n), out_vals,
-                       nullptr, 1, nullptr, 1, caches + vi, stats);
-    } else {
-      n = Intersect2(std::span<const Value>(out_vals, n), v.raw, out_vals,
-                     nullptr, 1, nullptr, 1, stats);
-    }
-  }
-  return n;
+  const KScratch scratch{nullptr, nullptr, ord};
+  return IntersectK(views, k, out_vals, nullptr, scratch, caches, stats);
 }
 
 }  // namespace adj::wcoj::intersect

@@ -12,27 +12,30 @@
 /// TrieJoin, factored out of the executor so one implementation serves
 /// Descend, the intersection cache, and BigJoin's expansion step.
 ///
-/// All kernels operate on flat `std::span<const Value>` views over
-/// trie levels (storage::Trie::RangeSpan) and write into
-/// caller-provided buffers: they never allocate, so the join executor
-/// can run them out of a preallocated arena with zero heap traffic in
-/// steady state.
+/// The kernels write into caller-provided buffers and never allocate,
+/// so the join executor can run them out of a preallocated arena with
+/// zero heap traffic in steady state.
 ///
-/// Input contract: every span is strictly increasing (a trie sibling
+/// Input contract: every run is strictly increasing (a trie sibling
 /// range is a sorted duplicate-free value run). Positions emitted are
-/// relative to the span start; callers add the range's `lo` to get
+/// relative to the run start; callers add the range's `lo` to get
 /// absolute trie indexes.
 ///
-/// The 2-way kernel has three implementations — a scalar
-/// galloping-merge baseline and SSE4.2 / AVX2 block-compare variants —
-/// selected once per process by runtime CPU detection (overridable for
-/// tests and benchmarks via SetKernel). Non-x86 builds compile the
-/// scalar path only and dispatch resolves to it.
+/// Two layers:
+///  - 2-way leaves over flat `std::span<const Value>` views: a scalar
+///    galloping merge and an AVX2 block-compare kernel, plus an AVX2
+///    all-pairs kernel for dense similar-size values-only inputs. The
+///    AVX2 kernels are selected once per process by runtime CPU
+///    detection (overridable via SetKernel); other hosts and non-x86
+///    builds run the scalar kernel.
+///  - One k-way driver (IntersectK / IntersectKValues) over RunView, a
+///    tagged raw-span-or-compressed-run input, so raw and
+///    block-compressed trie levels flow through the same reduction.
 namespace adj::wcoj::intersect {
 
-/// Which 2-way implementation executes. kAuto resolves to the widest
-/// kernel the CPU supports at first use.
-enum class Kernel { kAuto, kScalar, kSse42, kAvx2 };
+/// Which 2-way implementation executes. kAuto resolves to AVX2 when
+/// the CPU supports it, else scalar, at first use.
+enum class Kernel { kAuto, kScalar, kAvx2 };
 
 /// Forces a specific kernel (kAuto restores detection). Forcing a
 /// kernel the CPU lacks falls back to scalar. Affects the whole
@@ -43,7 +46,7 @@ void SetKernel(Kernel k);
 /// The kernel 2-way intersections currently dispatch to (never kAuto).
 Kernel ActiveKernel();
 
-/// Stable lowercase name ("scalar", "sse4.2", "avx2") for reports.
+/// Stable lowercase name ("scalar", "avx2") for reports.
 const char* KernelName(Kernel k);
 
 /// Whether this build + CPU can execute `k`.
@@ -54,7 +57,7 @@ bool CpuSupports(Kernel k);
 /// an optional stats sink).
 struct KernelStats {
   uint64_t seeks = 0;               // galloping SeekGEQ invocations
-  uint64_t simd_intersections = 0;  // 2-way calls served by SSE/AVX
+  uint64_t simd_intersections = 0;  // 2-way calls served by AVX2
   uint64_t scalar_fallbacks = 0;    // 2-way calls served scalar
   uint64_t blocks_decoded = 0;      // compressed blocks decoded to scratch
 };
@@ -78,41 +81,15 @@ size_t Intersect2(std::span<const Value> a, std::span<const Value> b,
                   size_t stride_b = 1, KernelStats* stats = nullptr);
 
 /// Fixed-implementation variants, for the agreement tests and the
-/// SIMD-vs-scalar micro-bench gate. The SIMD variants must only be
-/// called when CpuSupports the matching kernel.
+/// SIMD-vs-scalar micro-bench gate. The AVX2 variant must only be
+/// called when CpuSupports(Kernel::kAvx2).
 size_t Intersect2Scalar(std::span<const Value> a, std::span<const Value> b,
                         Value* out_vals, uint32_t* out_pa, size_t stride_a,
                         uint32_t* out_pb, size_t stride_b,
                         KernelStats* stats);
-size_t Intersect2Sse42(std::span<const Value> a, std::span<const Value> b,
-                       Value* out_vals, uint32_t* out_pa, size_t stride_a,
-                       uint32_t* out_pb, size_t stride_b, KernelStats* stats);
 size_t Intersect2Avx2(std::span<const Value> a, std::span<const Value> b,
                       Value* out_vals, uint32_t* out_pa, size_t stride_a,
                       uint32_t* out_pb, size_t stride_b, KernelStats* stats);
-
-/// Caller-provided scratch for IntersectK — carved from the join
-/// executor's arena. pa/pb need capacity m = min span size; ord needs
-/// capacity k.
-struct KScratch {
-  uint32_t* pa = nullptr;
-  uint32_t* pb = nullptr;
-  uint32_t* ord = nullptr;
-};
-
-/// k-way intersection by pairwise reduction, smallest spans first (so
-/// every intermediate fits in m = the overall minimum span size).
-/// Writes common values to out_vals (capacity m) and, per value, the k
-/// positions — one per input span, in the *given* span order — row-
-/// major into out_pos (capacity m * k). Returns the common count.
-size_t IntersectK(const std::span<const Value>* views, int k,
-                  Value* out_vals, uint32_t* out_pos,
-                  const KScratch& scratch, KernelStats* stats = nullptr);
-
-/// Values-only k-way reduction (BigJoin's expansion step needs no
-/// positions). out_vals capacity: the minimum span size.
-size_t IntersectKValues(const std::span<const Value>* views, int k,
-                        Value* out_vals, KernelStats* stats = nullptr);
 
 // ---------------------------------------------------------------------------
 // Compressed runs — intersecting block-compressed trie levels directly
@@ -124,7 +101,7 @@ size_t IntersectKValues(const std::span<const Value>* views, int k,
 // single block; the intersections walk the overlap block by block,
 // decode one block into a caller-owned blockcodec::DecodeCache, and
 // feed the dispatched 2-way kernel above — so a compressed run still
-// gets the SSE4.2/AVX2 block-compare inner loop, skips whole blocks
+// gets the AVX2 block-compare inner loop, skips whole blocks
 // via the skip table, and does no allocation. The caches are the
 // reason these kernels stay near raw speed on small sibling ranges:
 // a caller that keeps one cache per compressed input across calls
@@ -145,8 +122,9 @@ struct CompressedRun {
   uint32_t size() const { return hi - lo; }
 };
 
-/// A tagged raw-or-compressed input for the k-way driver, so one
-/// Descend path serves both representations.
+/// A tagged raw-or-compressed input for the k-way driver: raw trie
+/// levels (and compressed runs whose blocks are already decoded into
+/// an arena) are Raw spans, the rest Compressed runs.
 struct RunView {
   std::span<const Value> raw;
   CompressedRun comp;
@@ -184,20 +162,38 @@ size_t Intersect2CC(const CompressedRun& a, const CompressedRun& b,
                     storage::blockcodec::DecodeCache* cache_b,
                     KernelStats* stats = nullptr);
 
-/// IntersectK over mixed raw/compressed runs: same output contract
-/// (values + row-major k-wide position matrix, positions relative to
-/// each run). `caches` is an array of k entries parallel to `views`
-/// (entries for raw views are untouched); keeping it alive across
-/// calls is what makes consecutive small ranges hit cached blocks.
-size_t IntersectKRuns(const RunView* views, int k, Value* out_vals,
-                      uint32_t* out_pos, const KScratch& scratch,
-                      storage::blockcodec::DecodeCache* caches,
-                      KernelStats* stats = nullptr);
+// ---------------------------------------------------------------------------
+// k-way driver
+// ---------------------------------------------------------------------------
 
-/// Values-only variant of IntersectKRuns (BigJoin expansion).
-size_t IntersectKValuesRuns(const RunView* views, int k, Value* out_vals,
-                            storage::blockcodec::DecodeCache* caches,
-                            KernelStats* stats = nullptr);
+/// Caller-provided scratch for IntersectK — carved from the join
+/// executor's arena. pa/pb need capacity m = the minimum run size; ord
+/// needs capacity k.
+struct KScratch {
+  uint32_t* pa = nullptr;
+  uint32_t* pb = nullptr;
+  uint32_t* ord = nullptr;
+};
+
+/// k-way intersection by pairwise reduction, smallest runs first (so
+/// every intermediate fits in m = the minimum run size). Writes common
+/// values to out_vals (capacity m) and, per value, the k positions —
+/// one per input run, relative to that run, in the *given* order —
+/// row-major into out_pos (capacity m * k). Returns the common count.
+/// `caches` parallels `views`; an entry is used only when its view is
+/// compressed (an all-raw call may pass nullptr). Keeping the caches
+/// alive across calls is what makes consecutive small ranges hit
+/// cached blocks.
+size_t IntersectK(const RunView* views, int k, Value* out_vals,
+                  uint32_t* out_pos, const KScratch& scratch,
+                  storage::blockcodec::DecodeCache* caches,
+                  KernelStats* stats = nullptr);
+
+/// Values-only IntersectK (BigJoin's expansion step needs no
+/// positions). out_vals capacity: the minimum run size.
+size_t IntersectKValues(const RunView* views, int k, Value* out_vals,
+                        storage::blockcodec::DecodeCache* caches,
+                        KernelStats* stats = nullptr);
 
 }  // namespace adj::wcoj::intersect
 

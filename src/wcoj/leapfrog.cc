@@ -117,26 +117,24 @@ class Executor {
 
  private:
   /// Preallocated per-order-position kernel workspace, carved out of
-  /// the executor's flat arena at Run(): span/range views over the
-  /// current sibling ranges, the intersection output (values + a
+  /// the executor's flat arena at Run(): range and RunView views over
+  /// the current sibling ranges, the intersection output (values + a
   /// row-major position matrix) and the k-way reduction scratch.
   /// Buffers for distinct positions are disjoint, so the recursion
   /// (iterate level i's result while descending into i+1) never
   /// clobbers live data — and steady-state Descend touches no heap.
   struct Slot {
-    std::span<const Value>* spans = nullptr;
     Trie::Range* ranges = nullptr;
+    intersect::RunView* views = nullptr;
     Value* vals = nullptr;
     uint32_t* pos = nullptr;
     intersect::KScratch scratch;
-    // Only carved when a participant level is block-compressed: tagged
-    // raw/compressed views plus one persistent block-decode cache per
-    // participant, so compressed runs flow through the same kernels
-    // with no per-call allocation — and consecutive Descends whose
-    // small sibling ranges share a block decode it once, not per call.
-    intersect::RunView* views = nullptr;
+    // Only carved when a participant level is block-compressed: one
+    // persistent block-decode cache per participant, so compressed
+    // runs flow through the kernels with no per-call allocation — and
+    // consecutive Descends whose small sibling ranges share a block
+    // decode it once, not per call.
     storage::blockcodec::DecodeCache* caches = nullptr;
-    bool has_comp = false;
     uint32_t cap = 0;  // min MaxRangeWidth over participants
   };
 
@@ -164,33 +162,29 @@ class Executor {
       const std::vector<Participant>& parts = participants_[i];
       const size_t k = parts.size();
       uint32_t cap = std::numeric_limits<uint32_t>::max();
-      bool has_comp = false;
+      bool any_compressed = false;
       for (const Participant& p : parts) {
         cap = std::min(cap, inputs_[p.input].trie->MaxRangeWidth(p.level));
-        has_comp |= inputs_[p.input].trie->level_compressed(p.level);
       }
       slots_[i].cap = cap;
-      slots_[i].has_comp = has_comp;
       parts_off[i] = total_parts;
       total_parts += k;
-      if (has_comp) {
-        // One decode arena per distinct compressed payload (a self-join
-        // views the same trie level from several participants — size
-        // and decode it once). Offsets into the flat storage below.
-        for (const Participant& p : parts) {
-          const Trie& trie = *inputs_[p.input].trie;
-          if (!trie.level_compressed(p.level)) continue;
-          const auto view = trie.CompressedView(p.level);
-          const uint8_t* pay = view.bytes.data();
-          bool seen = false;
-          for (const ArenaRef& a : arenas) seen |= a.id == pay;
-          if (seen) continue;
-          const uint32_t nb = view.num_blocks();
-          arenas.push_back({pay, total_arena_vals, total_arena_bits, nb});
-          total_arena_vals +=
-              size_t(nb) * storage::blockcodec::kBlockValues;
-          total_arena_bits += (size_t(nb) + 63) / 64;
-        }
+      // One decode arena per distinct compressed payload (a self-join
+      // views the same trie level from several participants — size and
+      // decode it once). Offsets into the flat storage below.
+      for (const Participant& p : parts) {
+        const Trie& trie = *inputs_[p.input].trie;
+        if (!trie.level_compressed(p.level)) continue;
+        any_compressed = true;
+        const auto view = trie.CompressedView(p.level);
+        const uint8_t* pay = view.bytes.data();
+        bool seen = false;
+        for (const ArenaRef& a : arenas) seen |= a.id == pay;
+        if (seen) continue;
+        const uint32_t nb = view.num_blocks();
+        arenas.push_back({pay, total_arena_vals, total_arena_bits, nb});
+        total_arena_vals += size_t(nb) * storage::blockcodec::kBlockValues;
+        total_arena_bits += (size_t(nb) + 63) / 64;
       }
       const bool need_vals = cache_ == nullptr && k >= 2;
       vals_off[i] = total_vals;
@@ -204,9 +198,8 @@ class Executor {
       ord_off[i] = total_u32;
       if (k >= 2) total_u32 += k;
       bs_off[i] = total_bs;
-      if (has_comp) total_bs += k;
+      if (any_compressed) total_bs += k;
     }
-    span_storage_.assign(total_parts, {});
     range_storage_.assign(total_parts, {});
     view_storage_.assign(total_parts, {});
     vals_storage_.assign(total_vals, 0);
@@ -216,7 +209,6 @@ class Executor {
     decode_bitmap_storage_.assign(total_arena_bits, 0);
     for (int i = 0; i < n; ++i) {
       Slot& s = slots_[i];
-      s.spans = span_storage_.data() + parts_off[i];
       s.ranges = range_storage_.data() + parts_off[i];
       s.views = view_storage_.data() + parts_off[i];
       s.vals = vals_storage_.data() + vals_off[i];
@@ -225,7 +217,6 @@ class Executor {
       s.scratch.pb = u32_storage_.data() + pb_off[i];
       s.scratch.ord = u32_storage_.data() + ord_off[i];
       s.caches = decode_caches_.data() + bs_off[i];
-      if (!s.has_comp) continue;
       // Bind each compressed participant's cache to its payload's
       // arena: the Descend loops revisit scattered sibling ranges of
       // the same level, so memoizing decoded blocks for the run is
@@ -284,18 +275,20 @@ class Executor {
     const int k = static_cast<int>(parts.size());
     Slot& slot = slots_[i];
 
-    // Materialize range + span views; bail out on any empty range.
-    // Slots with a compressed participant build tagged RunViews
-    // instead of raw spans (a compressed level has no flat array).
+    // Materialize range + run views; bail out on any empty range.
     for (int j = 0; j < k; ++j) {
       const Participant& p = parts[j];
       const Trie& trie = *inputs_[p.input].trie;
       const Trie::Range r = RangeOf(p);
       if (r.empty()) return Status::OK();
       slot.ranges[j] = r;
-      if (!slot.has_comp) {
-        slot.spans[j] = trie.RangeSpan(p.level, r);
-      } else if (trie.level_compressed(p.level)) {
+      if (!trie.level_compressed(p.level)) {
+        // Rebind the raw fields only: assigning a whole RunView also
+        // rewrites its compressed-run payload, which measured ~20%
+        // slower on plans made of many small raw Descends.
+        slot.views[j].raw = trie.RangeSpan(p.level, r);
+        slot.views[j].compressed = false;
+      } else {
         // Once every block covering the run sits decoded in the
         // arena, the run is readable as a plain raw span at
         // arena + lo (non-final blocks are always full, so level
@@ -310,8 +303,6 @@ class Executor {
           slot.views[j] = intersect::RunView::Compressed(
               {trie.CompressedView(p.level), r.lo, r.hi});
         }
-      } else {
-        slot.views[j] = intersect::RunView::Raw(trie.RangeSpan(p.level, r));
       }
     }
 
@@ -333,29 +324,24 @@ class Executor {
 
     if (k == 1) {
       // Single participant: every sibling value extends the binding —
-      // stream straight off the trie, no materialization. Compressed
-      // levels stream block by block through a stack buffer rather
-      // than paying a per-value block decode via ValueAt.
+      // stream straight off the run, no materialization. Compressed
+      // runs stream block by block through the slot's decode cache
+      // rather than paying a per-value block decode via ValueAt.
       const Participant& p = parts[0];
-      const Trie& trie = *inputs_[p.input].trie;
+      const intersect::RunView& v = slot.views[0];
       const Trie::Range r = slot.ranges[0];
-      if (slot.has_comp && !slot.views[0].compressed) {
-        // Compressed level whose run was upgraded to a raw arena span.
-        const std::span<const Value> s = slot.views[0].raw;
-        for (uint32_t t = 0; t < s.size(); ++t) {
+      if (!v.compressed) {
+        for (uint32_t t = 0; t < v.raw.size(); ++t) {
           indexes_[p.input][p.level] = r.lo + t;
-          ADJ_RETURN_IF_ERROR(Emit(i, s[t]));
+          ADJ_RETURN_IF_ERROR(Emit(i, v.raw[t]));
         }
-        return Status::OK();
-      }
-      if (slot.has_comp) {
+      } else {
         namespace bc = storage::blockcodec;
-        const bc::CompressedLevelView cv = trie.CompressedView(p.level);
         bc::DecodeCache* const cache = slot.caches;
         const uint32_t bend = (r.hi - 1) / bc::kBlockValues;
         for (uint32_t blk = r.lo / bc::kBlockValues; blk <= bend; ++blk) {
           const uint32_t cnt = bc::DecodeBlockCached(
-              cv, blk, cache, &kernel_stats_.blocks_decoded);
+              v.comp.level, blk, cache, &kernel_stats_.blocks_decoded);
           const uint32_t base = blk * bc::kBlockValues;
           const uint32_t lo = std::max(r.lo, base);
           const uint32_t hi = std::min(r.hi, base + cnt);
@@ -366,23 +352,14 @@ class Executor {
             ADJ_RETURN_IF_ERROR(Emit(i, cache->vals[idx - base]));
           }
         }
-        return Status::OK();
-      }
-      for (uint32_t idx = r.lo; idx < r.hi; ++idx) {
-        indexes_[p.input][p.level] = idx;
-        ADJ_RETURN_IF_ERROR(Emit(i, trie.ValueAt(p.level, idx)));
       }
       return Status::OK();
     }
 
     const size_t kk = static_cast<size_t>(k);
     const size_t n =
-        slot.has_comp
-            ? intersect::IntersectKRuns(slot.views, k, slot.vals, slot.pos,
-                                        slot.scratch, slot.caches,
-                                        &kernel_stats_)
-            : intersect::IntersectK(slot.spans, k, slot.vals, slot.pos,
-                                    slot.scratch, &kernel_stats_);
+        intersect::IntersectK(slot.views, k, slot.vals, slot.pos,
+                              slot.scratch, slot.caches, &kernel_stats_);
     for (size_t t = 0; t < n; ++t) {
       for (int j = 0; j < k; ++j) {
         const Participant& p = parts[j];
@@ -399,9 +376,9 @@ class Executor {
                        Slot& slot, int k) {
     uint64_t key = HashCombine(0x9E3779B97F4A7C15ULL, uint64_t(i));
     for (int j = 0; j < k; ++j) {
-      key = HashCombine(key, (uint64_t(parts[j].input) << 48) ^
-                                 (uint64_t(slot.ranges[j].lo) << 24) ^
-                                 uint64_t(slot.ranges[j].hi));
+      key = HashCombine(key, uint64_t(parts[j].input));
+      key = HashCombine(key, slot.ranges[j].lo);
+      key = HashCombine(key, slot.ranges[j].hi);
     }
     const IntersectionCache::Entry* entry = cache_->Lookup(key);
     IntersectionCache::Entry fresh;
@@ -412,19 +389,14 @@ class Executor {
       const size_t kk = static_cast<size_t>(k);
       fresh.vals.resize(slot.cap);
       fresh.idxs.resize(size_t(slot.cap) * kk);
-      const size_t n =
-          slot.has_comp
-              ? intersect::IntersectKRuns(slot.views, k, fresh.vals.data(),
-                                          fresh.idxs.data(), slot.scratch,
-                                          slot.caches, &kernel_stats_)
-              : intersect::IntersectK(slot.spans, k, fresh.vals.data(),
-                                      fresh.idxs.data(), slot.scratch,
-                                      &kernel_stats_);
+      const size_t n = intersect::IntersectK(
+          slot.views, k, fresh.vals.data(), fresh.idxs.data(), slot.scratch,
+          slot.caches, &kernel_stats_);
       fresh.vals.resize(n);
       fresh.idxs.resize(n * kk);
       fresh.vals.shrink_to_fit();
       fresh.idxs.shrink_to_fit();
-      // Kernel positions are span-relative; the cache stores absolute
+      // Kernel positions are run-relative; the cache stores absolute
       // trie indexes (the key already encodes the ranges).
       for (size_t t = 0; t < n; ++t) {
         for (size_t j = 0; j < kk; ++j) {
@@ -500,7 +472,6 @@ class Executor {
   // Arena backing store (sized once in BuildArena) and per-position
   // views into it.
   std::vector<Slot> slots_;
-  std::vector<std::span<const Value>> span_storage_;
   std::vector<Trie::Range> range_storage_;
   std::vector<intersect::RunView> view_storage_;
   std::vector<Value> vals_storage_;

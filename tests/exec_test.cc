@@ -187,6 +187,18 @@ TEST(BigJoinTest, ShufflesBindingsEveryRound) {
   EXPECT_GT(report->comm.tuple_copies, report->output_count);
 }
 
+TEST(BigJoinTest, ReportsKernelCounters) {
+  storage::Catalog db = SmallDb(21, 60, 600);
+  auto q = query::MakeBenchmarkQuery(1);  // triangle
+  dist::ClusterConfig cfg;
+  dist::Cluster cluster(cfg);
+  auto report = RunBigJoin(*q, db, Ascending(*q), &cluster);
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->ok());
+  ASSERT_GT(report->output_count, 0u);
+  EXPECT_GT(report->simd_intersections + report->scalar_fallbacks, 0u);
+}
+
 TEST(BigJoinTest, RowLimitEmulatesExplosion) {
   storage::Catalog db = SmallDb(23, 150, 2500);
   auto q = query::MakeBenchmarkQuery(3);  // 5-clique: binding explosion

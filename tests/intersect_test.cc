@@ -1,9 +1,10 @@
 // Coverage for the wcoj/intersect kernel layer: the SeekGEQ galloping
-// primitive, 2-way kernels (scalar / SSE4.2 / AVX2) checked
-// property-style against std::set_intersection and bit-for-bit against
-// each other, the k-way pairwise reduction with its row-major position
-// matrix, and in-place compaction (output aliasing an input). Also
-// pins the leapfrog executor's kernel counters end to end.
+// primitive, 2-way kernels (scalar / AVX2) checked property-style
+// against std::set_intersection and bit-for-bit against each other,
+// the compressed-run kernels, the k-way driver over raw, compressed
+// and mixed RunViews with its row-major position matrix, and in-place
+// compaction (output aliasing an input). Also pins the leapfrog
+// executor's kernel counters end to end.
 #include "wcoj/intersect.h"
 
 #include <gtest/gtest.h>
@@ -31,8 +32,8 @@ std::vector<Value> SortedUnique(Rng& rng, size_t count, uint32_t universe) {
   return {vals.begin(), vals.end()};
 }
 
-std::vector<Value> Reference(const std::vector<Value>& a,
-                             const std::vector<Value>& b) {
+std::vector<Value> Reference(std::span<const Value> a,
+                             std::span<const Value> b) {
   std::vector<Value> out;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));
@@ -55,10 +56,6 @@ void CheckKernel(Kernel k, const std::vector<Value>& a,
       n = Intersect2Scalar(a, b, out.data(), pa.data(), 1, pb.data(), 1,
                            &stats);
       break;
-    case Kernel::kSse42:
-      n = Intersect2Sse42(a, b, out.data(), pa.data(), 1, pb.data(), 1,
-                          &stats);
-      break;
     case Kernel::kAvx2:
       n = Intersect2Avx2(a, b, out.data(), pa.data(), 1, pb.data(), 1,
                          &stats);
@@ -76,8 +73,7 @@ void CheckKernel(Kernel k, const std::vector<Value>& a,
   }
 }
 
-const Kernel kAllKernels[] = {Kernel::kScalar, Kernel::kSse42,
-                              Kernel::kAvx2};
+const Kernel kAllKernels[] = {Kernel::kScalar, Kernel::kAvx2};
 
 TEST(SeekGeqTest, MatchesLowerBoundWithAndWithoutHint) {
   Rng rng(1);
@@ -157,6 +153,7 @@ TEST(Intersect2Test, AdversarialGallopDistances) {
 }
 
 TEST(Intersect2Test, KernelsAgreeBitForBit) {
+  if (!CpuSupports(Kernel::kAvx2)) GTEST_SKIP() << "CPU lacks avx2";
   Rng rng(4);
   for (int round = 0; round < 40; ++round) {
     const uint32_t universe = 100 + static_cast<uint32_t>(rng.Uniform(4000));
@@ -169,22 +166,15 @@ TEST(Intersect2Test, KernelsAgreeBitForBit) {
     const size_t ref_n = Intersect2Scalar(a, b, ref_out.data(),
                                           ref_pa.data(), 1, ref_pb.data(), 1,
                                           &stats);
-    for (Kernel k : {Kernel::kSse42, Kernel::kAvx2}) {
-      if (!CpuSupports(k)) continue;
-      std::vector<Value> out(cap);
-      std::vector<uint32_t> pa(cap), pb(cap);
-      const size_t n =
-          k == Kernel::kSse42
-              ? Intersect2Sse42(a, b, out.data(), pa.data(), 1, pb.data(),
-                                1, &stats)
-              : Intersect2Avx2(a, b, out.data(), pa.data(), 1, pb.data(), 1,
-                               &stats);
-      ASSERT_EQ(n, ref_n) << KernelName(k);
-      for (size_t t = 0; t < n; ++t) {
-        EXPECT_EQ(out[t], ref_out[t]) << KernelName(k);
-        EXPECT_EQ(pa[t], ref_pa[t]) << KernelName(k);
-        EXPECT_EQ(pb[t], ref_pb[t]) << KernelName(k);
-      }
+    std::vector<Value> out(cap);
+    std::vector<uint32_t> pa(cap), pb(cap);
+    const size_t n = Intersect2Avx2(a, b, out.data(), pa.data(), 1,
+                                    pb.data(), 1, &stats);
+    ASSERT_EQ(n, ref_n);
+    for (size_t t = 0; t < n; ++t) {
+      EXPECT_EQ(out[t], ref_out[t]);
+      EXPECT_EQ(pa[t], ref_pa[t]);
+      EXPECT_EQ(pb[t], ref_pb[t]);
     }
   }
 }
@@ -209,46 +199,6 @@ TEST(Intersect2Test, InPlaceCompactionAliasingEitherInput) {
       for (size_t t = 0; t < n; ++t) EXPECT_EQ(out[t], expect[t]);
     }
     SetKernel(Kernel::kAuto);
-  }
-}
-
-TEST(IntersectKTest, PositionsIndexEveryInputSpan) {
-  Rng rng(6);
-  for (int k = 1; k <= 5; ++k) {
-    for (int round = 0; round < 20; ++round) {
-      std::vector<std::vector<Value>> sets;
-      std::vector<std::span<const Value>> views;
-      for (int j = 0; j < k; ++j) {
-        sets.push_back(SortedUnique(rng, 1 + rng.Uniform(150), 300));
-      }
-      for (const auto& s : sets) views.emplace_back(s);
-      std::vector<Value> expect = sets[0];
-      for (int j = 1; j < k; ++j) expect = Reference(expect, sets[j]);
-
-      size_t cap = sets[0].size();
-      for (const auto& s : sets) cap = std::min(cap, s.size());
-      std::vector<Value> out(cap);
-      std::vector<uint32_t> pos(cap * size_t(k));
-      std::vector<uint32_t> pa(cap), pb(cap), ord(static_cast<size_t>(k));
-      KScratch scratch{pa.data(), pb.data(), ord.data()};
-      const size_t n =
-          IntersectK(views.data(), k, out.data(), pos.data(), scratch);
-      ASSERT_EQ(n, expect.size()) << "k=" << k;
-      for (size_t t = 0; t < n; ++t) {
-        EXPECT_EQ(out[t], expect[t]);
-        for (int j = 0; j < k; ++j) {
-          const uint32_t p = pos[t * size_t(k) + size_t(j)];
-          ASSERT_LT(p, sets[size_t(j)].size());
-          EXPECT_EQ(sets[size_t(j)][p], out[t])
-              << "k=" << k << " value " << t << " span " << j;
-        }
-      }
-
-      std::vector<Value> vals_only(cap);
-      const size_t m = IntersectKValues(views.data(), k, vals_only.data());
-      ASSERT_EQ(m, n);
-      for (size_t t = 0; t < n; ++t) EXPECT_EQ(vals_only[t], out[t]);
-    }
   }
 }
 
@@ -426,57 +376,77 @@ TEST(CompressedRunTest, Intersect2CRAndCCMatchRawWithPositions) {
   }
 }
 
-TEST(CompressedRunTest, KWayRunsMatchRawKWayMixedRepresentations) {
+// The single k-way family over every representation mix, for k = 1..5:
+// values against a std::set_intersection chain over the raw runs,
+// positions against each input run, and the values-only variant
+// against the positions variant.
+TEST(IntersectKTest, MatchesSetIntersectionOverRawCompressedAndMixedRuns) {
+  enum class Mix { kRaw, kCompressed, kMixed };
   Rng rng(1618);
-  for (int round = 0; round < 40; ++round) {
-    const int k = 2 + int(rng.Uniform(3));
-    std::vector<RunLevel> levels;
-    std::vector<size_t> run_idx;
-    for (int j = 0; j < k; ++j) {
-      levels.push_back(MakeRunLevel(rng, 1 + int(rng.Uniform(4)), 400, 3000));
-      run_idx.push_back(rng.Uniform(levels[j].runs.size()));
-    }
-    std::vector<std::span<const Value>> raw(k);
-    std::vector<RunView> views(k);
-    size_t cap = SIZE_MAX;
-    for (int j = 0; j < k; ++j) {
-      raw[j] = levels[j].RawRun(run_idx[j]);
-      // Mix representations: every other input stays raw.
-      views[j] = (j % 2 == 0)
-                     ? RunView::Compressed(levels[j].Run(run_idx[j]))
-                     : RunView::Raw(raw[j]);
-      cap = std::min(cap, raw[j].size());
-    }
+  for (int k = 1; k <= 5; ++k) {
+    for (Mix mix : {Mix::kRaw, Mix::kCompressed, Mix::kMixed}) {
+      int nonempty = 0;
+      for (int round = 0; round < 15; ++round) {
+        // Dense multi-block runs (up to ~300 of a 600-value universe),
+        // so even 5-way intersections are usually non-empty.
+        std::vector<RunLevel> levels;
+        std::vector<std::span<const Value>> raw;
+        std::vector<RunView> views;
+        // All levels first: the views below point into their storage.
+        for (int j = 0; j < k; ++j) {
+          levels.push_back(
+              MakeRunLevel(rng, 1 + int(rng.Uniform(4)), 400, 600));
+        }
+        for (int j = 0; j < k; ++j) {
+          const size_t run = rng.Uniform(levels[j].runs.size());
+          raw.push_back(levels[j].RawRun(run));
+          const bool compressed =
+              mix == Mix::kCompressed || (mix == Mix::kMixed && j % 2 == 0);
+          views.push_back(compressed ? RunView::Compressed(levels[j].Run(run))
+                                     : RunView::Raw(raw.back()));
+        }
+        std::vector<Value> expect(raw[0].begin(), raw[0].end());
+        size_t cap = raw[0].size();
+        for (int j = 1; j < k; ++j) {
+          expect = Reference(expect, raw[j]);
+          cap = std::min(cap, raw[j].size());
+        }
+        nonempty += !expect.empty();
 
-    std::vector<Value> want(cap), got(cap);
-    std::vector<uint32_t> want_pos(cap * k), pos(cap * k);
-    std::vector<uint32_t> spa(cap), spb(cap), sord(k);
-    const KScratch ws{spa.data(), spb.data(), sord.data()};
-    const size_t wn =
-        IntersectK(raw.data(), k, want.data(), want_pos.data(), ws, nullptr);
+        // All-raw calls may pass no caches at all.
+        std::vector<bc::DecodeCache> caches(mix == Mix::kRaw ? 0 : k);
+        bc::DecodeCache* const cache_ptr =
+            caches.empty() ? nullptr : caches.data();
+        std::vector<Value> out(cap);
+        std::vector<uint32_t> pos(cap * k), pa(cap), pb(cap), ord(k);
+        const KScratch scratch{pa.data(), pb.data(), ord.data()};
+        KernelStats stats;
+        const size_t n = IntersectK(views.data(), k, out.data(), pos.data(),
+                                    scratch, cache_ptr, &stats);
+        ASSERT_EQ(n, expect.size()) << "k=" << k << " round " << round;
+        for (size_t t = 0; t < n; ++t) {
+          ASSERT_EQ(out[t], expect[t]) << "k=" << k << " value " << t;
+          for (int j = 0; j < k; ++j) {
+            const uint32_t p = pos[t * k + j];
+            ASSERT_LT(p, raw[j].size());
+            ASSERT_EQ(raw[j][p], out[t])
+                << "k=" << k << " value " << t << " input " << j;
+          }
+        }
 
-    std::vector<uint32_t> gpa(cap), gpb(cap), gord(k);
-    const KScratch gs{gpa.data(), gpb.data(), gord.data()};
-    std::vector<bc::DecodeCache> caches(k);
-    KernelStats stats;
-    const size_t gn = IntersectKRuns(views.data(), k, got.data(), pos.data(),
-                                     gs, caches.data(), &stats);
-    ASSERT_EQ(gn, wn) << "round " << round;
-    for (size_t t = 0; t < wn; ++t) {
-      ASSERT_EQ(got[t], want[t]) << "value " << t;
-      for (int j = 0; j < k; ++j) {
-        ASSERT_EQ(pos[t * k + j], want_pos[t * k + j])
-            << "pos " << t << " input " << j;
+        std::vector<bc::DecodeCache> vcaches(caches.size());
+        std::vector<Value> vals_only(cap);
+        const size_t vn = IntersectKValues(
+            views.data(), k, vals_only.data(),
+            vcaches.empty() ? nullptr : vcaches.data(), &stats);
+        ASSERT_EQ(vn, n);
+        for (size_t t = 0; t < n; ++t) ASSERT_EQ(vals_only[t], out[t]);
+        if (mix == Mix::kRaw) {
+          EXPECT_EQ(stats.blocks_decoded, 0u);
+        }
       }
+      EXPECT_GT(nonempty, 0) << "k=" << k;
     }
-
-    // Values-only variant agrees too.
-    std::vector<Value> vals_only(cap);
-    std::vector<bc::DecodeCache> vcaches(k);
-    const size_t vn = IntersectKValuesRuns(views.data(), k, vals_only.data(),
-                                           vcaches.data(), &stats);
-    ASSERT_EQ(vn, wn);
-    for (size_t t = 0; t < wn; ++t) ASSERT_EQ(vals_only[t], want[t]);
   }
 }
 
