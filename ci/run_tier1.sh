@@ -11,7 +11,7 @@
 #                     gets its own leg).
 #   BUILD_TARGETS     space-separated cmake targets to build instead of
 #                     everything (the TSan leg builds only the
-#                     concurrency-heavy serve/dist targets).
+#                     concurrency-heavy serve/dist/exec targets).
 #   CTEST_FILTER      regex passed to ctest -R to run a subset.
 #   BUILD_DIR, JOBS   build directory and parallelism.
 # ccache is picked up automatically when installed (CI caches it).

@@ -1,10 +1,8 @@
 #include "api/session.h"
 
-#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "core/engine.h"
 #include "core/spj.h"
@@ -194,10 +192,6 @@ std::vector<Result> Session::RunBatch(const std::vector<BatchQuery>& queries,
                                       int threads) const {
   std::vector<Result> results(queries.size());
   if (queries.empty()) return results;
-  if (threads <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = int(std::min<size_t>(queries.size(), hw > 0 ? hw : 4));
-  }
   std::vector<std::function<void()>> tasks;
   tasks.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {

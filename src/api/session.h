@@ -91,10 +91,10 @@ class Session {
   /// is current.
   StatusOr<PreparedQuery> Reprepare(const PreparedQuery& prepared) const;
 
-  /// Executes `queries` concurrently over a dist::ThreadPool against
-  /// the shared read-only catalog; the returned vector aligns
-  /// index-wise with `queries` (failures folded into each Result).
-  /// threads <= 0 picks min(#queries, hardware threads).
+  /// Executes `queries` concurrently (dist::RunTasks) against the
+  /// shared read-only catalog; the returned vector aligns index-wise
+  /// with `queries` (failures folded into each Result). threads <= 0
+  /// uses every core.
   std::vector<Result> RunBatch(const std::vector<BatchQuery>& queries,
                                int threads = 0) const;
 

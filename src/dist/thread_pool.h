@@ -10,23 +10,13 @@
 
 namespace adj::dist {
 
-/// Reusable fixed-size worker pool with two modes of use:
-///
-/// - Batch mode — RunAll() blocks until every task of the batch has
-///   executed exactly once. Used to run the simulated servers of one
-///   cluster concurrently (exec::RunHCubeJ's worker_threads) and
-///   reusable across batches so multi-stage plans do not re-spawn
-///   threads per stage.
-/// - Streaming mode — Submit() enqueues one task and returns
-///   immediately; some worker runs it as soon as it is free. This is
-///   the serving mode: serve::Server admits each accepted request as
-///   one submitted task. WaitIdle() blocks until all submitted tasks
-///   have drained, and the destructor drains any still-pending
-///   submitted tasks before joining (a submitted task is never
-///   dropped).
-///
-/// The modes may interleave on one pool; workers prefer the active
-/// batch, then the submitted queue.
+/// Fixed-size streaming worker pool: Submit() enqueues one task and
+/// returns immediately; some worker runs it as soon as it is free.
+/// serve::Server admits each accepted request as one submitted task,
+/// and RunTasks' process-wide helper pool is one of these. WaitIdle()
+/// blocks until all submitted tasks have drained, and the destructor
+/// drains any still-pending submitted tasks before joining (a
+/// submitted task is never dropped).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -37,21 +27,16 @@ class ThreadPool {
 
   int num_threads() const { return int(workers_.size()); }
 
-  /// Runs every task of `tasks` exactly once across the workers and
-  /// returns when all are done. An empty batch is a no-op. Not
-  /// re-entrant: one batch at a time per pool.
-  void RunAll(const std::vector<std::function<void()>>& tasks);
-
-  /// Streaming mode: enqueues `task` to run exactly once on some
-  /// worker and returns immediately. There is no internal bound on the
-  /// submitted queue — callers that need admission control bound it
-  /// themselves (serve::AdmissionQueue). Must not race with the pool's
+  /// Enqueues `task` to run exactly once on some worker and returns
+  /// immediately. There is no internal bound on the submitted queue —
+  /// callers that need admission control bound it themselves
+  /// (serve::AdmissionQueue). Must not race with the pool's
   /// destruction.
   void Submit(std::function<void()> task);
 
   /// Blocks until the submitted queue is empty and no submitted task
-  /// is in flight. Batches (RunAll) are not waited on. Tasks submitted
-  /// concurrently with the wait may or may not be covered by it.
+  /// is in flight. Tasks submitted concurrently with the wait may or
+  /// may not be covered by it.
   void WaitIdle();
 
  private:
@@ -60,18 +45,25 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const std::vector<std::function<void()>>* tasks_ = nullptr;  // guarded by mu_
-  size_t next_ = 0;   // next unclaimed task index
-  size_t done_ = 0;   // tasks finished in the current batch
-  std::deque<std::function<void()>> submitted_;  // streaming-mode queue
+  std::deque<std::function<void()>> submitted_;  // guarded by mu_
   size_t submitted_active_ = 0;  // submitted tasks currently executing
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
 
-/// Runs `tasks` on `threads` host threads and blocks until all finish.
-/// threads <= 1 executes inline, sequentially, in submission order —
-/// the right mode for cost measurements (per-task timings undistorted).
+/// Runs every task of `tasks` exactly once and blocks until all have
+/// finished — a fork-join over one process-wide helper pool.
+///
+/// - The helper pool is created on first use with
+///   hardware_concurrency() − 1 threads and lives for the rest of the
+///   process, so a batch never pays for thread creation.
+/// - The calling thread claims tasks too. Concurrent batches from many
+///   threads and batches nested inside a task therefore always make
+///   progress; no batch waits for a helper to become free.
+/// - At most `threads` threads (the caller included) work on the
+///   batch, clamped to the helper pool's width + 1 and to the task
+///   count. threads <= 0 asks for every core. threads == 1 runs the
+///   tasks inline, sequentially, in submission order.
 void RunTasks(int threads, const std::vector<std::function<void()>>& tasks);
 
 }  // namespace adj::dist

@@ -47,6 +47,7 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
                                  const query::AttributeOrder& order,
                                  const HCubeJParams& params,
                                  dist::Cluster* cluster) {
+  const WallTimer deadline;
   HCubeJOutput out;
   out.report.method = params.use_cache ? "HCubeJ+Cache" : "HCubeJ";
   out.report.rounds = 1;
@@ -106,9 +107,9 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   out.report.comp_s += shuffle->build_seconds_max;
   out.report.overhead_s = cluster->config().net.stage_overhead_s;
 
-  // Per-server Leapfrog. Servers are timed individually so comp_s is
-  // the parallel makespan; with worker_threads > 1 they also *run*
-  // concurrently (each writing its own slot, merged in server order).
+  // Per-server Leapfrog. Servers run concurrently, each writing its own
+  // slot (merged in server order), and are timed individually so comp_s
+  // is the per-server makespan.
   const bool collect = params.collect_output;
   if (collect) {
     out.results = storage::Relation(storage::Schema(
@@ -136,6 +137,12 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
       }
       if (any_empty) return;  // this hypercube produces nothing
       slot.ran = true;
+      wcoj::JoinLimits limits = params.limits;
+      limits.max_seconds -= deadline.Seconds();
+      if (limits.max_seconds <= 0) {
+        slot.status = Status::DeadlineExceeded("join exceeded time budget");
+        return;
+      }
       wcoj::EmitFn emit_fn;
       if (collect) {
         slot.results = storage::Relation(storage::Schema(
@@ -154,11 +161,11 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
           wcoj::IntersectionCache cache(free_bytes / sizeof(Value));
           return wcoj::LeapfrogJoin(inputs, order,
                                     collect ? &emit_fn : nullptr,
-                                    &slot.stats, params.limits, {}, &cache);
+                                    &slot.stats, limits, {}, &cache);
         }
         return wcoj::LeapfrogJoin(inputs, order,
                                   collect ? &emit_fn : nullptr, &slot.stats,
-                                  params.limits);
+                                  limits);
       }();
       if (!count.ok()) {
         slot.status = count.status();

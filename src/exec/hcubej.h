@@ -42,6 +42,8 @@ struct HCubeJParams {
   /// from the bound relation sizes (Eq. 3).
   dist::ShareVector share;
   dist::HCubeVariant variant = dist::HCubeVariant::kPull;
+  /// max_seconds bounds the whole run, measured from RunHCubeJ's
+  /// start: every server joins within what is left of it.
   wcoj::JoinLimits limits;
   /// When true, runs the HCubeJ+Cache baseline: each server memoizes
   /// intersections in whatever memory HCube storage left free.
@@ -49,10 +51,12 @@ struct HCubeJParams {
   /// When true, result tuples are gathered into `HCubeJOutput::results`
   /// (used by pre-computation); otherwise results are only counted.
   bool collect_output = false;
-  /// Host threads used to run the simulated servers concurrently.
-  /// 1 (default) runs them sequentially — the right setting for cost
-  /// measurements (per-server timings stay undistorted).
-  int worker_threads = 1;
+  /// Host threads that run the simulated servers' joins concurrently
+  /// (dist::RunTasks). 0 (default) uses every core; 1 runs the servers
+  /// inline, one after another. The width never exceeds the host's
+  /// cores, so each server's measured join time — and comp_s, their
+  /// makespan — is not time-sliced by the other servers of the run.
+  int worker_threads = 0;
 };
 
 struct HCubeJOutput {

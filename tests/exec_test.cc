@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/timer.h"
 #include "dataset/generators.h"
 #include "exec/bigjoin.h"
 #include "exec/binary_join.h"
@@ -113,6 +114,33 @@ TEST(HCubeJTest, MemoryFailureSurfacesInReport) {
   ASSERT_TRUE(run.ok());
   EXPECT_FALSE(run->report.ok());
   EXPECT_EQ(run->report.status.code(), StatusCode::kResourceExhausted);
+}
+
+TEST(HCubeJTest, DeadlineBoundsTheWholeRunNotEachServer) {
+  // max_seconds is one budget for the run: sequential servers must not
+  // each get a fresh copy of it (8 servers would then join for up to
+  // 8 x max_seconds and this run would complete).
+  storage::Catalog db = SmallDb(13, 600, 9000);
+  auto q = query::MakeBenchmarkQuery(10);
+  dist::ClusterConfig cfg;
+  cfg.num_servers = 8;
+  HCubeJParams params;
+  params.worker_threads = 1;
+  auto timed_run = [&] {
+    dist::Cluster cluster(cfg);
+    const WallTimer timer;
+    auto run = RunHCubeJ(*q, db, Ascending(*q), params, &cluster);
+    EXPECT_TRUE(run.ok() && run->report.ok());
+    return timer.Seconds();
+  };
+  timed_run();  // warm-up: later runs reuse the cached binds and shards
+  const double unbounded_s = std::min(timed_run(), timed_run());
+  params.limits.max_seconds = unbounded_s / 3;
+  dist::Cluster cluster(cfg);
+  auto run = RunHCubeJ(*q, db, Ascending(*q), params, &cluster);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->report.status.code(), StatusCode::kDeadlineExceeded)
+      << "unbounded run took " << unbounded_s << " s";
 }
 
 TEST(BinaryJoinTest, MatchesNaive) {

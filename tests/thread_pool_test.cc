@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "common/rng.h"
 #include "dataset/generators.h"
@@ -13,34 +15,6 @@
 
 namespace adj::dist {
 namespace {
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  std::vector<std::atomic<int>> hits(64);
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 64; ++i) {
-    tasks.push_back([&hits, i] { hits[size_t(i)]++; });
-  }
-  ThreadPool pool(4);
-  pool.RunAll(tasks);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ReusableAcrossBatches) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 10; ++i) tasks.push_back([&total] { total++; });
-    pool.RunAll(tasks);
-  }
-  EXPECT_EQ(total.load(), 50);
-}
-
-TEST(ThreadPoolTest, EmptyBatchIsNoop) {
-  ThreadPool pool(2);
-  pool.RunAll({});
-  SUCCEED();
-}
 
 TEST(ThreadPoolTest, StreamingSubmitRunsEveryTaskExactlyOnce) {
   std::vector<std::atomic<int>> hits(64);
@@ -70,17 +44,127 @@ TEST(ThreadPoolTest, DestructorDrainsPendingSubmittedTasks) {
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ThreadPoolTest, StreamingAndBatchModesInterleave) {
+TEST(RunTasksTest, RunsEveryTaskExactlyOnce) {
+  std::vector<std::atomic<int>> hits(64);
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 64; ++i) {
+    tasks.push_back([&hits, i] { hits[size_t(i)]++; });
+  }
+  RunTasks(4, tasks);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(RunTasksTest, ReusableAcrossBatches) {
+  std::atomic<int> total{0};
+  for (int batch = 0; batch < 5; ++batch) {
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 10; ++i) tasks.push_back([&total] { total++; });
+    RunTasks(3, tasks);
+  }
+  EXPECT_EQ(total.load(), 50);
+}
+
+TEST(RunTasksTest, EmptyBatchIsNoop) {
+  RunTasks(0, {});
+  RunTasks(1, {});
+  RunTasks(4, {});
+  SUCCEED();
+}
+
+TEST(RunTasksTest, StreamingAndBatchModesInterleave) {
+  // The serve shape: streaming workers each fork a batch while another
+  // batch runs on the calling thread.
   ThreadPool pool(3);
   std::atomic<int> streamed{0};
-  for (int i = 0; i < 16; ++i) pool.Submit([&streamed] { streamed++; });
-  std::vector<std::function<void()>> tasks;
   std::atomic<int> batched{0};
-  for (int i = 0; i < 16; ++i) tasks.push_back([&batched] { batched++; });
-  pool.RunAll(tasks);  // a batch while submitted tasks drain
+  auto batch = [&batched] {
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 16; ++i) tasks.push_back([&batched] { batched++; });
+    RunTasks(0, tasks);
+  };
+  for (int i = 0; i < 16; ++i) {
+    pool.Submit([&streamed, &batch] {
+      batch();
+      streamed++;
+    });
+  }
+  batch();
   pool.WaitIdle();
   EXPECT_EQ(streamed.load(), 16);
-  EXPECT_EQ(batched.load(), 16);
+  EXPECT_EQ(batched.load(), 17 * 16);
+}
+
+TEST(RunTasksTest, ConcurrentBatchesRunEveryTaskExactlyOnce) {
+  constexpr int kThreads = 8, kBatches = 50, kTasks = 16;
+  std::vector<std::atomic<int>> hits(size_t(kThreads * kBatches * kTasks));
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&hits, t] {
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<std::function<void()>> tasks;
+        for (int i = 0; i < kTasks; ++i) {
+          const size_t slot = size_t((t * kBatches + b) * kTasks + i);
+          tasks.push_back([&hits, slot] { hits[slot]++; });
+        }
+        RunTasks(0, tasks);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(RunTasksTest, NestedBatchCompletes) {
+  // Session::RunBatch -> RunHCubeJ: a task of one batch forks another.
+  std::vector<std::atomic<int>> hits(64);
+  std::vector<std::function<void()>> outer;
+  for (int o = 0; o < 8; ++o) {
+    outer.push_back([&hits, o] {
+      std::vector<std::function<void()>> inner;
+      for (int i = 0; i < 8; ++i) {
+        inner.push_back([&hits, o, i] { hits[size_t(o * 8 + i)]++; });
+      }
+      RunTasks(0, inner);
+    });
+  }
+  RunTasks(0, outer);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(RunTasksTest, BackToBackSmallBatches) {
+  // Helpers often dequeue a batch after its caller has already run
+  // both tasks and returned; that must neither crash nor re-run one.
+  std::atomic<int> total{0};
+  for (int b = 0; b < 10000; ++b) {
+    std::vector<std::function<void()>> tasks = {[&total] { total++; },
+                                                [&total] { total++; }};
+    RunTasks(0, tasks);
+  }
+  EXPECT_EQ(total.load(), 20000);
+}
+
+TEST(RunTasksTest, DefaultWidthRunsTasksConcurrently) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "single-core host: RunTasks is sequential";
+  }
+  // Each task waits for the other to start: only a second thread can
+  // let the first one finish before the time-out.
+  std::atomic<int> started{0};
+  std::atomic<bool> met{true};
+  auto task = [&] {
+    started++;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (started.load() < 2) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        met = false;
+        return;
+      }
+      std::this_thread::yield();
+    }
+  };
+  RunTasks(0, {task, task});
+  EXPECT_TRUE(met.load());
 }
 
 TEST(RunTasksTest, SequentialWhenOneThread) {
@@ -124,8 +208,8 @@ TEST(ThreadedHCubeJTest, SameCountsAsSequential) {
     cfg.num_servers = 4;
     Cluster c_seq(cfg), c_par(cfg);
     exec::HCubeJParams seq_params;
+    seq_params.worker_threads = 1;
     exec::HCubeJParams par_params;
-    par_params.worker_threads = 4;
     auto seq = exec::RunHCubeJ(*q, db, order, seq_params, &c_seq);
     auto par = exec::RunHCubeJ(*q, db, order, par_params, &c_par);
     ASSERT_TRUE(seq.ok() && par.ok()) << "Q" << qi;
@@ -136,28 +220,37 @@ TEST(ThreadedHCubeJTest, SameCountsAsSequential) {
   }
 }
 
-TEST(ThreadedHCubeJTest, CollectedOutputOrderIndependent) {
+TEST(ThreadedHCubeJTest, CollectedOutputIdenticalToSequential) {
+  // Bag pre-computation and the SPJ projection path both gather rows
+  // through collect_output: the concurrent default must hand them the
+  // very rows, in the very order, of the sequential run.
   Rng rng(79);
   storage::Catalog db;
   db.Put("G", dataset::ErdosRenyi(30, 180, rng));
-  auto q = query::MakeBenchmarkQuery(1);
-  query::AttributeOrder order = {0, 1, 2};
-  ClusterConfig cfg;
-  cfg.num_servers = 4;
-  Cluster c_seq(cfg), c_par(cfg);
-  exec::HCubeJParams seq_params;
-  seq_params.collect_output = true;
-  exec::HCubeJParams par_params;
-  par_params.collect_output = true;
-  par_params.worker_threads = 4;
-  auto seq = exec::RunHCubeJ(*q, db, order, seq_params, &c_seq);
-  auto par = exec::RunHCubeJ(*q, db, order, par_params, &c_par);
-  ASSERT_TRUE(seq.ok() && par.ok());
-  storage::Relation a = std::move(seq->results);
-  storage::Relation b = std::move(par->results);
-  a.SortAndDedup();
-  b.SortAndDedup();
-  EXPECT_TRUE(std::ranges::equal(a.raw(), b.raw()));
+  for (int qi : {1, 2}) {
+    for (bool use_cache : {false, true}) {
+      auto q = query::MakeBenchmarkQuery(qi);
+      query::AttributeOrder order;
+      for (int a = 0; a < q->num_attrs(); ++a) order.push_back(a);
+      ClusterConfig cfg;
+      cfg.num_servers = 6;
+      Cluster c_seq(cfg), c_par(cfg);
+      exec::HCubeJParams seq_params;
+      seq_params.collect_output = true;
+      seq_params.use_cache = use_cache;
+      seq_params.worker_threads = 1;
+      exec::HCubeJParams par_params = seq_params;
+      par_params.worker_threads = 0;
+      auto seq = exec::RunHCubeJ(*q, db, order, seq_params, &c_seq);
+      auto par = exec::RunHCubeJ(*q, db, order, par_params, &c_par);
+      ASSERT_TRUE(seq.ok() && par.ok()) << "Q" << qi;
+      ASSERT_TRUE(seq->report.ok() && par->report.ok()) << "Q" << qi;
+      EXPECT_GT(seq->results.size(), 0u) << "Q" << qi;
+      EXPECT_EQ(par->results.schema().attrs(), seq->results.schema().attrs());
+      EXPECT_TRUE(std::ranges::equal(par->results.raw(), seq->results.raw()))
+          << "Q" << qi << " use_cache=" << use_cache;
+    }
+  }
 }
 
 }  // namespace
