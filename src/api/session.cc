@@ -83,13 +83,13 @@ StatusOr<PreparedQuery> Session::Prepare(const std::string& query_text) const {
   size_t compressed = 0;
   uint64_t compressed_bytes = 0;
   std::set<const storage::Trie*> counted_tries;
-  for (const auto& index : ctx->pinned_indexes) {
-    if (index == nullptr || index->trie == nullptr) continue;
-    if (index->trie->mmap_backed()) ++mmap_loaded;
-    if (index->trie->any_compressed() &&
-        counted_tries.insert(index->trie.get()).second) {
+  for (const storage::PreparedIndex& index : ctx->pinned_indexes) {
+    if (index.trie == nullptr) continue;
+    if (index.trie->mmap_backed()) ++mmap_loaded;
+    if (index.trie->any_compressed() &&
+        counted_tries.insert(index.trie.get()).second) {
       ++compressed;
-      compressed_bytes += index->trie->CompressedBytes();
+      compressed_bytes += index.trie->CompressedBytes();
     }
   }
   planned->explanation +=

@@ -51,7 +51,7 @@ struct ExecutionContext {
   /// second run onward performs zero Trie::Build / SortAndDedup calls
   /// on base relations (the shard-level shuffle artifacts are built by
   /// the first run and kept alive through these same pins).
-  std::vector<std::shared_ptr<const storage::PreparedIndex>> pinned_indexes;
+  std::vector<storage::PreparedIndex> pinned_indexes;
   uint64_t pinned_index_bytes = 0;
   /// Tuple payload of the bag relations this context materialized.
   uint64_t bag_bytes = 0;

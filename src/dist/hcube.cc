@@ -291,12 +291,14 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
     // Single-server alias: the fragment is the prepared index itself,
     // so nothing is routed, sorted, or built — reported as a reuse of
     // the pinned index (with mmap provenance if it was snapshot-loaded),
-    // never as a build. The aliased artifact still goes through the
-    // cache so its kPull/kMerge wire bytes are sized once per input.
+    // never as a build. Its kPull/kMerge wire bytes still go through
+    // the cache so they are sized once per input; the cached artifact
+    // keeps only those sizes, since an entry holding its own pin (the
+    // trie) could never be swept.
     const bool alias_single =
         num_servers == 1 && in.shared_rel != nullptr &&
         in.shared_rel.get() == in.rel && in.trie != nullptr;
-    if (cache != nullptr && in.pin != nullptr) {
+    if (cache != nullptr && in.trie != nullptr) {
       std::string spec = std::string("hcube:") + HCubeVariantName(variant) +
                          ":s=" + std::to_string(num_servers) +
                          ":p=" + share.ToString() + ":a=";
@@ -305,18 +307,28 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
         spec += std::to_string(in.attrs[c]);
       }
       StatusOr<std::shared_ptr<const void>> artifact = cache->GetOrBuild(
-          in.rel, spec, in.pin,
+          in.trie.get(), spec, in.trie,
           [&]() -> StatusOr<storage::IndexCache::BuildResult> {
             auto built = std::make_shared<ShardedRelation>(
                 alias_single
                     ? AliasSingleServer(in.shared_rel, in.trie, variant)
                     : BuildSharded(*in.rel, plans[i], num_servers, variant,
                                    i, &build_s));
+            if (alias_single) {
+              built->per_server[0].block.reset();
+              built->per_server[0].trie.reset();
+            }
             return storage::IndexCache::BuildResult{built, built->Bytes()};
           },
           alias_single ? nullptr : build_stats);
       if (!artifact.ok()) return artifact.status();
       sharded[i] = std::static_pointer_cast<const ShardedRelation>(*artifact);
+      if (alias_single) {
+        auto served = std::make_shared<ShardedRelation>(*sharded[i]);
+        served->per_server[0].block = in.shared_rel;
+        served->per_server[0].trie = in.trie;
+        sharded[i] = std::move(served);
+      }
     } else if (alias_single) {
       sharded[i] = std::make_shared<const ShardedRelation>(
           AliasSingleServer(in.shared_rel, in.trie, variant));

@@ -17,25 +17,24 @@ namespace adj::dist {
 /// tuples plus the query attribute each column binds. Attribute ids
 /// index the share vector.
 ///
-/// `pin` is the cache anchor: a shared handle whose lifetime covers
-/// `rel` (typically the storage::PreparedIndex the relation came
-/// from). When the shuffle runs against an IndexCache, inputs with a
-/// pin have their routed fragments and shard tries cached under
-/// (rel, share, variant, server count) and reused by later shuffles;
-/// inputs without one are shuffled inline, uncached.
+/// `trie`, optional, is the trie built over `rel`: the cached trie of
+/// the storage::PreparedIndex the relation came from. It is the cache
+/// key and anchor — when the shuffle runs against an IndexCache,
+/// inputs with a trie have their routed fragments and shard tries
+/// cached under (trie, attrs, share, variant, server count), pinned by
+/// the trie, and reused by later shuffles whichever alias of the rows
+/// `rel` is; inputs without one are shuffled inline, uncached.
 struct HCubeInput {
   const storage::Relation* rel = nullptr;
   std::vector<AttrId> attrs;
-  std::shared_ptr<const void> pin;
-  /// Optional shared handles to the *same* relation as `rel` and the
-  /// trie built over it (a prepared index's rel/trie). When the
-  /// cluster has one server they enable the alias fast path: the
-  /// single shard is the prepared relation itself, so the shuffle
-  /// routes, sorts, and builds nothing, and reports an index reuse
+  std::shared_ptr<const storage::Trie> trie;
+  /// Optional shared handle to the *same* relation as `rel`. With a
+  /// `trie` and one server it enables the alias fast path: the single
+  /// shard is the prepared relation itself, so the shuffle routes,
+  /// sorts, and builds nothing, and reports an index reuse
   /// (mmap-flagged when the trie is snapshot-loaded) instead of a
   /// build. Ignored unless `shared_rel.get() == rel`.
   std::shared_ptr<const storage::Relation> shared_rel;
-  std::shared_ptr<const storage::Trie> trie;
 };
 
 /// One input's shuffle outcome in shareable form: per server the

@@ -75,18 +75,18 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   }
   out.share_used = share;
 
-  // One-round shuffle; each input's bound index doubles as the cache
-  // pin so shard fragments/tries are built once and reused by every
-  // later shuffle of the same input under the same configuration.
+  // One-round shuffle; each input's cached trie doubles as the shard
+  // cache key and pin, so shard fragments/tries are built once and
+  // reused by every later shuffle of the same input under the same
+  // configuration.
   std::vector<dist::HCubeInput> hinputs;
   hinputs.reserve(bound->size());
   for (const BoundAtom& b : *bound) {
     dist::HCubeInput in;
     in.rel = &b.rel();
     in.attrs = b.attrs;
-    in.pin = b.index;
-    in.shared_rel = b.index->rel;
-    in.trie = b.index->trie;
+    in.trie = b.index.trie;
+    in.shared_rel = b.index.rel;
     hinputs.push_back(std::move(in));
   }
   StatusOr<dist::HCubeResult> shuffle =
@@ -204,10 +204,10 @@ StatusOr<HCubeJOutput> RunHCubeJ(const query::Query& q,
   out.report.blocks_decoded = all_stats.blocks_decoded;
   {
     // Resident compressed footprint of the distinct indexes this run
-    // bound (labeled binds alias one trie — count it once).
+    // bound (binds of one permutation share one trie — count it once).
     std::set<const storage::Trie*> seen;
     for (const BoundAtom& b : *bound) {
-      const storage::Trie* trie = b.index->trie.get();
+      const storage::Trie* trie = b.index.trie.get();
       if (trie != nullptr && seen.insert(trie).second) {
         out.report.compressed_bytes += trie->CompressedBytes();
       }

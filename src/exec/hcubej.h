@@ -18,15 +18,15 @@ namespace adj::exec {
 /// A query atom bound to its base relation and re-columned for a
 /// specific attribute order: columns ascend by order rank and the rows
 /// are sorted/deduplicated — ready for HCube and trie building. The
-/// relation and trie are borrowed from the catalog's IndexCache
+/// rows buffer and trie are borrowed from the catalog's IndexCache
 /// (shared, never deep-copied), so repeated binds of one (relation,
-/// order) pair return pointer-identical artifacts.
+/// order) pair share one payload and a pointer-identical trie.
 struct BoundAtom {
-  std::shared_ptr<const storage::PreparedIndex> index;
+  storage::PreparedIndex index;  // rel: the atom's alias of the rows
   std::vector<AttrId> attrs;
 
-  const storage::Relation& rel() const { return *index->rel; }
-  const storage::Trie& trie() const { return *index->trie; }
+  const storage::Relation& rel() const { return *index.rel; }
+  const storage::Trie& trie() const { return *index.trie; }
 };
 
 /// Binds every atom of `q` against `db` and permutes it for `order`,

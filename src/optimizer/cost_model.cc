@@ -80,10 +80,10 @@ double CalibrateBetaPrecomputed(uint64_t trie_tuples) {
     }
     base = slot;
   }
-  StatusOr<std::shared_ptr<const storage::PreparedIndex>> index =
-      cache.GetPermuted(base, base->schema(), IdentityPerm(*base));
+  StatusOr<storage::PreparedIndex> index =
+      cache.GetPermuted(base, IdentityPerm(*base));
   if (!index.ok()) return 1.0;
-  return MeasureSeekRate(*(*index)->trie, 200000);
+  return MeasureSeekRate(*index->trie, 200000);
 }
 
 double CalibrateBetaPrecomputed(const storage::Catalog& db,
@@ -111,8 +111,7 @@ double CalibrateBetaPrecomputed(const storage::Catalog& db,
       std::move(largest), largest_atom->schema.attrs(),
       query::RankOf(order, q.num_attrs()), db.index_cache());
   if (!bound.ok()) return CalibrateBetaPrecomputed();
-  StatusOr<std::shared_ptr<const storage::PreparedIndex>> index =
-      std::move(bound->index);
+  const storage::Trie& trie = bound->trie();
 
   // The rate is a hardware constant: memoize per probed trie so only
   // the first planning pass against a dataset pays the 50k seeks.
@@ -123,13 +122,13 @@ double CalibrateBetaPrecomputed(const storage::Catalog& db,
   static std::mutex mu;
   static std::map<const void*, double>* memo =
       new std::map<const void*, double>();
-  const void* key = (*index)->trie.get();
+  const void* key = &trie;
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = memo->find(key);
     if (it != memo->end()) return it->second;
   }
-  const double rate = MeasureSeekRate(*(*index)->trie, 50000);
+  const double rate = MeasureSeekRate(trie, 50000);
   std::lock_guard<std::mutex> lock(mu);
   if (memo->size() >= 256) memo->clear();
   (*memo)[key] = rate;

@@ -354,12 +354,6 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
       }
       ++stats.tries;
     }
-    PutVarint(p.bindings.size(), &manifest);
-    for (const auto& b : p.bindings) {
-      PutVarint(b.with_trie ? 1 : 0, &manifest);
-      PutSchema(b.schema, &manifest);
-      ++stats.bindings;
-    }
     ++stats.payloads;
   }
 
@@ -677,20 +671,6 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
         p.levels.push_back(level);
       }
     }
-    StatusOr<uint64_t> num_bindings = get("binding count");
-    if (!num_bindings.ok()) return num_bindings.status();
-    for (uint64_t j = 0; j < *num_bindings; ++j) {
-      StatusOr<uint64_t> with_trie = get("binding kind");
-      if (!with_trie.ok()) return with_trie.status();
-      StatusOr<Schema> schema = GetSchema(buf, &pos);
-      if (!schema.ok()) return schema.status();
-      if (schema->arity() != arity) {
-        return Status::InvalidArgument(
-            "snapshot binding schema arity mismatch");
-      }
-      p.bindings.push_back(storage::IndexCache::Binding{
-          std::move(*schema), *with_trie != 0});
-    }
     reader.payloads_.push_back(std::move(p));
   }
   return reader;
@@ -871,18 +851,12 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
     StatusOr<MappedPayload> r = MapPayload(p, &stats.mapped_bytes);
     if (!r.ok()) return r.status();
     if (r->trie != nullptr) ++stats.tries;
-    for (const auto& b : p.bindings) {
-      if (b.with_trie && r->trie == nullptr) {
-        return Status::InvalidArgument(
-            "snapshot binding needs a trie the payload does not carry");
-      }
-    }
     restored.push_back(std::move(*r));
   }
 
   // Phase 2 — commit. Restore entry states first: each Restore bumps
-  // the catalog generation and the name's version, so a snapshot open
-  // invalidates downstream plan caches exactly like any other reload.
+  // the name's version, so a snapshot open invalidates downstream plan
+  // caches exactly like any other reload.
   // Then adopt index payloads, coldest first, so the cache's LRU
   // order matches the saved one and a tight byte budget keeps the hot
   // tail.
@@ -899,9 +873,7 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
     // let a byte budget evict the cold tail during adoption itself.
     ADJ_RETURN_IF_ERROR(cache.AdoptPermuted(phys[p.phys], p.perm,
                                             std::move(restored[i].rows),
-                                            std::move(restored[i].trie),
-                                            p.bindings));
-    stats.bindings += p.bindings.size();
+                                            std::move(restored[i].trie)));
     ++stats.payloads;
   }
   // The last adoption's entries were referenced by its own arguments

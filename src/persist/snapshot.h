@@ -16,7 +16,7 @@
 
 namespace adj::persist {
 
-/// Snapshot file format v4 — the build-once / mmap-many layer
+/// Snapshot file format v5 — the build-once / mmap-many layer
 /// (docs/PERSISTENCE.md has the full layout diagram):
 ///
 ///   header | segment* | manifest segment | TOC segment | footer
@@ -27,7 +27,9 @@ namespace adj::persist {
 /// compaction threshold), the effective relation, and the
 /// per-relation version — so Save/Open round-trips a *written-to*
 /// catalog: a restored entry keeps its mmap-backed base and re-applies
-/// only O(delta) heap rows.
+/// only O(delta) heap rows. Index payloads are recorded per (relation,
+/// permutation) only; attribute labelings belong to queries and are
+/// re-made at bind time for free.
 ///
 /// Every artifact is stored exactly once, in the form it is served
 /// from: relation and payload rows as raw arrays, trie levels in their
@@ -53,7 +55,7 @@ namespace adj::persist {
 inline constexpr char kMagic[8] = {'A', 'D', 'J', 'S', 'N', 'A', 'P', '1'};
 inline constexpr char kFooterMagic[8] = {'A', 'D', 'J', 'S', 'E', 'O', 'F',
                                          '1'};
-inline constexpr uint32_t kVersion = 4;
+inline constexpr uint32_t kVersion = 5;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr uint64_t kHeaderSize = 32;
 inline constexpr uint64_t kFooterSize = 40;
@@ -94,7 +96,6 @@ struct WriteStats {
   uint64_t delta_rows = 0;     // insert+tombstone rows in those batches
   uint64_t payloads = 0;   // perm-keyed index payloads
   uint64_t tries = 0;      // payloads carrying a trie
-  uint64_t bindings = 0;   // labeled bind/rel entries across payloads
   uint64_t file_bytes = 0;
   uint64_t raw_bytes = 0;  // data segments: every artifact, once
   uint64_t compressed_levels = 0;  // trie levels stored block-compressed
@@ -143,14 +144,13 @@ class SnapshotReader {
     uint64_t delta_batches = 0;  // chain batches re-attached to entries
     uint64_t payloads = 0;
     uint64_t tries = 0;
-    uint64_t bindings = 0;
     uint64_t mapped_bytes = 0;  // raw bytes now viewed by the catalog
   };
 
   /// Restores the snapshot into `catalog`: Catalog::Restore every
   /// name's saved entry state — base, pending delta chain, effective,
-  /// version (this bumps the catalog generation and the name's
-  /// version, like any reload) — then adopts index payloads, hottest
+  /// version (this bumps the name's version, like any reload) — then
+  /// adopts index payloads, hottest
   /// last, into the catalog's IndexCache under its byte budget.
   /// Relations and tries view the mapped file; the MappedFile handle
   /// is kept alive by them. Delta-chain rows are small (bounded by the
@@ -179,7 +179,6 @@ class SnapshotReader {
     uint32_t rows_seg = 0;
     bool has_trie = false;
     std::vector<TrieLevelRef> levels;
-    std::vector<storage::IndexCache::Binding> bindings;
   };
 
   StatusOr<std::span<const uint8_t>> SegmentBytes(uint64_t index) const;

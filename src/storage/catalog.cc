@@ -118,7 +118,6 @@ Status Catalog::Apply(const WriteBatch& batch) {
     ++it;  // flush erases the pending slot
     flush(name);
   }
-  ++generation_;
   index_cache_->Sweep();
   return Status::OK();
 }
@@ -290,7 +289,6 @@ Status Catalog::Restore(const std::string& name, EntryState state) {
   e.effective = std::move(state.effective);
   e.version = version;
   e.canonical = !e.deltas.empty();
-  ++generation_;
   index_cache_->Sweep();
   return Status::OK();
 }

@@ -48,11 +48,10 @@ namespace adj::storage {
 /// Staleness tracking is *per relation*: every write to a name bumps
 /// VersionOf(name), so caches invalidate only entries whose bound
 /// relations actually changed (serve::PreparedQueryCache validates a
-/// prepared query's recorded name→version dependencies). The global
-/// generation() counter — bumped once per successful Apply — survives
-/// as a coarse any-write signal. Neither counter is atomic: like the
-/// rest of the catalog, mutation must be quiesced with respect to
-/// readers (docs/ARCHITECTURE.md, "Ownership rules";
+/// prepared query's recorded name→version dependencies). Every
+/// successful Apply also sweeps the index cache. Versions are not
+/// atomic: like the rest of the catalog, mutation must be quiesced
+/// with respect to readers (docs/ARCHITECTURE.md, "Ownership rules";
 /// serve::Server::Apply does this with a reader/writer lock).
 class Catalog {
  public:
@@ -70,7 +69,7 @@ class Catalog {
   /// error with the catalog untouched. On success each written name
   /// gains one version; tuple ops coalesce into one DeltaBatch per
   /// name, linked into the index cache for merge-on-read patching,
-  /// and generation() advances once.
+  /// and the index cache is swept once.
   Status Apply(const WriteBatch& batch);
 
   /// DEPRECATED — wrapper for Apply of a one-op Create batch.
@@ -116,12 +115,6 @@ class Catalog {
   /// (VersionOf(name) == v), independent of writes to other names.
   uint64_t VersionOf(const std::string& name) const;
 
-  /// Monotone counter of successful Apply calls (each deprecated
-  /// wrapper is a one-op Apply): equal generations guarantee every
-  /// name still resolves to the same relation version it did before.
-  /// Coarser than VersionOf — kept for whole-catalog consumers.
-  uint64_t generation() const { return generation_; }
-
   /// Accumulated delta rows at which a written entry folds its chain
   /// into a new base (frees the old base and the batches; derived
   /// patch state survives, it references payloads, not the base).
@@ -144,7 +137,7 @@ class Catalog {
   /// Installs a fully-formed entry (snapshot restore): `state.base` /
   /// `state.effective` must be non-null; the name's version becomes
   /// max(current, state.version) + 1 so restored-over entries still
-  /// read as written. Bumps generation() like any write.
+  /// read as written. Sweeps the index cache like any write.
   Status Restore(const std::string& name, EntryState state);
 
   /// The shared index layer riding alongside this catalog: every bind
@@ -180,7 +173,6 @@ class Catalog {
   void ApplyDelta(const std::string& name, std::shared_ptr<DeltaBatch> delta);
 
   std::map<std::string, Entry> relations_;
-  uint64_t generation_ = 0;
   uint64_t delta_compact_threshold_ = 4096;
   std::shared_ptr<IndexCache> index_cache_ = std::make_shared<IndexCache>();
 };

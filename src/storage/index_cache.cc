@@ -21,11 +21,16 @@ std::string RowsSpec(const std::vector<int>& perm) {
 std::string TrieSpec(const std::vector<int>& perm) {
   return "trie:p=" + SpecJoin(perm);
 }
-std::string BindSpec(const std::vector<int>& perm, const Schema& schema) {
-  return "bind:p=" + SpecJoin(perm) + ";a=" + schema.ToString();
-}
-std::string RelSpec(const std::vector<int>& perm, const Schema& schema) {
-  return "rel:p=" + SpecJoin(perm) + ";a=" + schema.ToString();
+
+Status CheckPermutation(const std::shared_ptr<const Relation>& base,
+                        const std::vector<int>& perm) {
+  if (base == nullptr) {
+    return Status::InvalidArgument("null base relation for index");
+  }
+  if (base->arity() != static_cast<int>(perm.size())) {
+    return Status::InvalidArgument("column order arity mismatch for index");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -110,25 +115,24 @@ StatusOr<std::shared_ptr<const void>> IndexCache::GetOrBuildTagged(
 }
 
 StatusOr<std::shared_ptr<const Relation>> IndexCache::GetPermutedRows(
-    const std::shared_ptr<const Relation>& base, const Schema& schema,
-    const std::vector<int>& perm, bool* patched_out, uint64_t* merged_out) {
-  if (patched_out != nullptr) *patched_out = false;
+    const std::shared_ptr<const Relation>& base, const std::vector<int>& perm,
+    IndexBuildStats* stats, uint64_t* merged_out) {
   if (merged_out != nullptr) *merged_out = 0;
-  PatchSource src;
-  const bool have_patch =
-      PeekPatchSource(base, perm, &src) && src.payload != nullptr;
   auto meta = std::make_shared<PermutedMeta>();
   meta->kind = PermutedMeta::kRows;
   meta->perm = perm;
-  bool used_patch = false;
+  std::shared_ptr<const DeltaBatch> applied;  // the delta this call merged
   StatusOr<std::shared_ptr<const void>> artifact = GetOrBuildTagged(
       base.get(), RowsSpec(perm), base,
       [&]() -> StatusOr<BuildResult> {
         // The canonical physical payload: one permuted + sorted
-        // relation per (base, perm), whose buffer every labeling
-        // aliases. Snapshot adoption swaps in a mapped-span relation
-        // under the same key.
-        if (have_patch) {
+        // relation per (base, perm), whose buffer every bind of the
+        // permutation aliases. Snapshot adoption swaps in a
+        // mapped-span relation under the same key. The payload keeps
+        // base's schema: only its arity means anything to storage.
+        const Schema& schema = base->schema();
+        PatchSource src;
+        if (PeekPatchSource(base, perm, &src) && src.payload != nullptr) {
           // Merge-on-read: the relation gained a delta since the
           // recorded payload was built. Permute + sort only the delta
           // rows into this column order, then gallop-merge them over
@@ -143,7 +147,7 @@ StatusOr<std::shared_ptr<const Relation>> IndexCache::GetPermutedRows(
           MergeDeltaRows(src.payload->raw(), schema.arity(), ins.raw(),
                          del.raw(), &merged.mutable_raw());
           auto canon = std::make_shared<const Relation>(std::move(merged));
-          used_patch = true;
+          applied = src.delta;
           BuildResult result;
           result.artifact = canon;
           result.bytes = canon->SizeBytes();
@@ -156,52 +160,42 @@ StatusOr<std::shared_ptr<const Relation>> IndexCache::GetPermutedRows(
         auto canon = std::make_shared<const Relation>(std::move(rel));
         return BuildResult{canon, canon->SizeBytes()};
       },
-      /*stats=*/nullptr, std::move(meta));
+      stats, std::move(meta));
   if (!artifact.ok()) return artifact.status();
-  if (used_patch) {
-    ConsumePatchSource(base.get(), perm, src.delta->rows());
-    if (merged_out != nullptr) *merged_out = src.delta->rows();
-  }
-  if (patched_out != nullptr) {
-    *patched_out = used_patch || EntryIsPatched(base.get(), RowsSpec(perm));
+  if (applied != nullptr) {
+    ConsumePatchSource(base.get(), perm, applied->rows());
+    if (merged_out != nullptr) *merged_out = applied->rows();
   }
   return std::static_pointer_cast<const Relation>(*artifact);
 }
 
 StatusOr<std::shared_ptr<const Trie>> IndexCache::GetPermutedTrie(
-    const std::shared_ptr<const Relation>& base, const Schema& schema,
-    const std::vector<int>& perm) {
+    const std::shared_ptr<const Relation>& base, const std::vector<int>& perm,
+    const Relation& rows, IndexBuildStats* stats) {
   auto meta = std::make_shared<PermutedMeta>();
   meta->kind = PermutedMeta::kTrie;
   meta->perm = perm;
   StatusOr<std::shared_ptr<const void>> artifact = GetOrBuildTagged(
       base.get(), TrieSpec(perm), base,
       [&]() -> StatusOr<BuildResult> {
-        // Nested get: the build runs outside the cache lock, so
-        // re-entering for the rows layer is safe (single-flight is per
-        // key). The trie's shape does not depend on the labeling; the
-        // schema is only borrowed for arity.
-        bool rows_patched = false;
-        StatusOr<std::shared_ptr<const Relation>> rows =
-            GetPermutedRows(base, schema, perm, &rows_patched);
-        if (!rows.ok()) return rows.status();
         // Trie-layer delta patch: when the predecessor's trie is still
-        // on the patch record (the rows merge above clears only the
-        // payload side), splice the permuted delta into its CSR arrays
-        // instead of re-scanning all n merged rows. The tuple-count
-        // check downgrades to a scratch build if the patch and the
-        // payload ever disagree (they cannot under the single-writer
-        // contract; the guard keeps a corrupt record from propagating).
+        // on the patch record (the rows merge clears only the payload
+        // side), splice the permuted delta into its CSR arrays instead
+        // of re-scanning all n merged rows. The tuple-count check
+        // downgrades to a scratch build if the patch and the payload
+        // ever disagree (they cannot under the single-writer contract;
+        // the guard keeps a corrupt record from propagating).
         PatchSource src;
         if (PeekPatchSource(base, perm, &src) && src.trie != nullptr &&
             src.delta != nullptr) {
+          const Schema& schema = rows.schema();
           Relation ins = src.delta->inserts.PermuteColumns(schema, perm);
           ins.SortAndDedup();
           Relation del = src.delta->deletes.PermuteColumns(schema, perm);
           del.SortAndDedup();
           Trie patched = Trie::PatchFrom(*src.trie, ins, del);
           ConsumeTriePatchSource(base.get(), perm);
-          if (patched.NumTuples() == (*rows)->size()) {
+          if (patched.NumTuples() == rows.size()) {
             if (compress_tries()) {
               patched = Trie::Compress(std::move(patched));
             }
@@ -211,102 +205,43 @@ StatusOr<std::shared_ptr<const Trie>> IndexCache::GetPermutedTrie(
             return result;
           }
         }
-        Trie built = Trie::Build(**rows);
+        Trie built = Trie::Build(rows);
         if (compress_tries()) built = Trie::Compress(std::move(built));
         auto trie = std::make_shared<const Trie>(std::move(built));
         BuildResult result{trie, trie->ResidentBytes()};
         // A trie over a patched payload counts as patched work, not a
         // from-scratch index build: its input rows were delta-merged.
-        result.patched = rows_patched;
+        result.patched = EntryIsPatched(base.get(), RowsSpec(perm));
         return result;
       },
-      /*stats=*/nullptr, std::move(meta));
+      stats, std::move(meta));
   if (!artifact.ok()) return artifact.status();
   return std::static_pointer_cast<const Trie>(*artifact);
 }
 
-StatusOr<std::shared_ptr<const PreparedIndex>> IndexCache::GetPermuted(
-    std::shared_ptr<const Relation> base, const Schema& schema,
-    const std::vector<int>& perm, IndexBuildStats* stats) {
-  if (base == nullptr) {
-    return Status::InvalidArgument("null base relation for index");
-  }
-  if (schema.arity() != static_cast<int>(perm.size()) ||
-      base->arity() != schema.arity()) {
-    return Status::InvalidArgument("column order arity mismatch for index");
-  }
-  const Relation* identity = base.get();
-  auto meta = std::make_shared<PermutedMeta>();
-  meta->kind = PermutedMeta::kBind;
-  meta->perm = perm;
-  meta->schema = schema;
-  // The physical payload depends only on the column permutation; the
-  // attribute labeling rides along because consumers — HashJoin above
-  // all — read rel->schema() for join semantics. The labeled entry is
-  // therefore an alias: its rows buffer and trie live in (and are
-  // charged to) the perm-keyed layers, shared across labelings.
-  StatusOr<std::shared_ptr<const void>> artifact = GetOrBuildTagged(
-      identity, BindSpec(perm, schema), base,
-      [&]() -> StatusOr<BuildResult> {
-        bool rows_patched = false;
-        uint64_t merged_now = 0;
-        StatusOr<std::shared_ptr<const Relation>> rows =
-            GetPermutedRows(base, schema, perm, &rows_patched, &merged_now);
-        if (!rows.ok()) return rows.status();
-        StatusOr<std::shared_ptr<const Trie>> trie =
-            GetPermutedTrie(base, schema, perm);
-        if (!trie.ok()) return trie.status();
-        auto index = std::make_shared<PreparedIndex>();
-        index->rel = std::make_shared<const Relation>(
-            Relation::AliasSpan(schema, (*rows)->raw(), *rows));
-        index->trie = std::move(*trie);
-        // Alias entry: payload bytes are charged once, on the
-        // perm-keyed rows/trie entries. Patched-ness is inherited from
-        // the payload; the merge is charged to the consumer on the
-        // labeled bind that actually triggered it.
-        BuildResult result{index, 0};
-        result.patched = rows_patched;
-        result.delta_rows_merged = merged_now;
-        return result;
-      },
-      stats, std::move(meta));
-  if (!artifact.ok()) return artifact.status();
-  return std::static_pointer_cast<const PreparedIndex>(*artifact);
+StatusOr<PreparedIndex> IndexCache::GetPermuted(
+    std::shared_ptr<const Relation> base, const std::vector<int>& perm,
+    IndexBuildStats* stats) {
+  ADJ_RETURN_IF_ERROR(CheckPermutation(base, perm));
+  // The consumer asked for the trie, so only the trie layer ticks its
+  // stats; a delta merge the rows layer ran on the way is still this
+  // bind's work.
+  uint64_t merged = 0;
+  StatusOr<std::shared_ptr<const Relation>> rows =
+      GetPermutedRows(base, perm, /*stats=*/nullptr, &merged);
+  if (!rows.ok()) return rows.status();
+  StatusOr<std::shared_ptr<const Trie>> trie =
+      GetPermutedTrie(base, perm, **rows, stats);
+  if (!trie.ok()) return trie.status();
+  if (stats != nullptr) stats->delta_rows_merged += merged;
+  return PreparedIndex{std::move(*rows), std::move(*trie)};
 }
 
 StatusOr<std::shared_ptr<const Relation>> IndexCache::GetPermutedRelation(
-    std::shared_ptr<const Relation> base, const Schema& schema,
-    const std::vector<int>& perm, IndexBuildStats* stats) {
-  if (base == nullptr) {
-    return Status::InvalidArgument("null base relation for index");
-  }
-  if (schema.arity() != static_cast<int>(perm.size()) ||
-      base->arity() != schema.arity()) {
-    return Status::InvalidArgument("column order arity mismatch for index");
-  }
-  const Relation* identity = base.get();
-  auto meta = std::make_shared<PermutedMeta>();
-  meta->kind = PermutedMeta::kRel;
-  meta->perm = perm;
-  meta->schema = schema;
-  StatusOr<std::shared_ptr<const void>> artifact = GetOrBuildTagged(
-      identity, RelSpec(perm, schema), base,
-      [&]() -> StatusOr<BuildResult> {
-        bool rows_patched = false;
-        uint64_t merged_now = 0;
-        StatusOr<std::shared_ptr<const Relation>> rows =
-            GetPermutedRows(base, schema, perm, &rows_patched, &merged_now);
-        if (!rows.ok()) return rows.status();
-        auto rel = std::make_shared<const Relation>(
-            Relation::AliasSpan(schema, (*rows)->raw(), *rows));
-        BuildResult result{rel, 0};
-        result.patched = rows_patched;
-        result.delta_rows_merged = merged_now;
-        return result;
-      },
-      stats, std::move(meta));
-  if (!artifact.ok()) return artifact.status();
-  return std::static_pointer_cast<const Relation>(*artifact);
+    std::shared_ptr<const Relation> base, const std::vector<int>& perm,
+    IndexBuildStats* stats) {
+  ADJ_RETURN_IF_ERROR(CheckPermutation(base, perm));
+  return GetPermutedRows(base, perm, stats);
 }
 
 std::vector<IndexCache::ExportedPayload> IndexCache::ExportPermutedIndexes()
@@ -328,26 +263,17 @@ std::vector<IndexCache::ExportedPayload> IndexCache::ExportPermutedIndexes()
     const PermutedMeta& meta = *entry->meta;
     ExportedPayload& p = slot(key.first, meta.perm);
     p.lru_tick = std::max(p.lru_tick, entry->lru_tick);
-    switch (meta.kind) {
-      case PermutedMeta::kRows:
-        p.rows = std::static_pointer_cast<const Relation>(entry->artifact);
-        break;
-      case PermutedMeta::kTrie:
-        p.trie = std::static_pointer_cast<const Trie>(entry->artifact);
-        break;
-      case PermutedMeta::kBind:
-        p.bindings.push_back(Binding{meta.schema, /*with_trie=*/true});
-        break;
-      case PermutedMeta::kRel:
-        p.bindings.push_back(Binding{meta.schema, /*with_trie=*/false});
-        break;
+    if (meta.kind == PermutedMeta::kRows) {
+      p.rows = std::static_pointer_cast<const Relation>(entry->artifact);
+    } else {
+      p.trie = std::static_pointer_cast<const Trie>(entry->artifact);
     }
   }
   std::vector<ExportedPayload> out;
   out.reserve(payloads.size());
   for (auto& [key, p] : payloads) {
-    // A bind/rel entry can outlive its physical layers only
-    // transiently (budget eviction); such orphans are not exportable.
+    // A trie can outlive its rows entry (budget eviction); the writer
+    // needs the rows, so such a payload is not exportable.
     if (p.rows != nullptr) out.push_back(std::move(p));
   }
   return out;
@@ -375,22 +301,13 @@ bool IndexCache::AdoptEntryLocked(const Key& key,
 Status IndexCache::AdoptPermuted(std::shared_ptr<const Relation> base,
                                  const std::vector<int>& perm,
                                  std::shared_ptr<const Relation> canon,
-                                 std::shared_ptr<const Trie> trie,
-                                 const std::vector<Binding>& bindings) {
+                                 std::shared_ptr<const Trie> trie) {
   if (base == nullptr || canon == nullptr) {
     return Status::InvalidArgument("adopt needs a base and a payload");
   }
   if (static_cast<int>(perm.size()) != base->arity() ||
       canon->arity() != base->arity()) {
     return Status::InvalidArgument("adopt: permutation arity mismatch");
-  }
-  for (const Binding& b : bindings) {
-    if (b.schema.arity() != base->arity()) {
-      return Status::InvalidArgument("adopt: binding arity mismatch");
-    }
-    if (b.with_trie && trie == nullptr) {
-      return Status::InvalidArgument("adopt: trie-backed binding needs a trie");
-    }
   }
   if (trie != nullptr &&
       (trie->arity() != base->arity() || trie->NumTuples() != canon->size())) {
@@ -411,26 +328,6 @@ Status IndexCache::AdoptPermuted(std::shared_ptr<const Relation> base,
     meta->perm = perm;
     AdoptEntryLocked({identity, TrieSpec(perm)}, base, trie,
                      trie->ResidentBytes(), std::move(meta));
-  }
-  for (const Binding& b : bindings) {
-    auto meta = std::make_shared<PermutedMeta>();
-    meta->perm = perm;
-    meta->schema = b.schema;
-    if (b.with_trie) {
-      meta->kind = PermutedMeta::kBind;
-      auto index = std::make_shared<PreparedIndex>();
-      index->rel = std::make_shared<const Relation>(
-          Relation::AliasSpan(b.schema, canon->raw(), canon));
-      index->trie = trie;
-      AdoptEntryLocked({identity, BindSpec(perm, b.schema)}, base, index,
-                       /*bytes=*/0, std::move(meta));
-    } else {
-      meta->kind = PermutedMeta::kRel;
-      auto rel = std::make_shared<const Relation>(
-          Relation::AliasSpan(b.schema, canon->raw(), canon));
-      AdoptEntryLocked({identity, RelSpec(perm, b.schema)}, base, rel,
-                       /*bytes=*/0, std::move(meta));
-    }
   }
   EnforceBudgetLocked();
   return Status::OK();
@@ -552,6 +449,14 @@ bool IndexCache::SweepOnceLocked() {
   for (const auto& [key, entry] : entries_) {
     if (entry->ready) ++cache_pins[entry->pin.get()];
   }
+  // Patch sources hold tries of older relation versions for
+  // merge-on-read; that must not keep the shard entries pinned by
+  // those tries alive.
+  for (const auto& [identity, record] : patches_) {
+    for (const auto& [perm, src] : record.by_perm) {
+      if (src.trie != nullptr) ++cache_pins[src.trie.get()];
+    }
+  }
   bool dropped = false;
   for (auto it = entries_.begin(); it != entries_.end();) {
     const Entry& e = *it->second;
@@ -569,8 +474,8 @@ bool IndexCache::SweepOnceLocked() {
 
 void IndexCache::Sweep() {
   std::lock_guard<std::mutex> lock(mu_);
-  // Fixpoint: dropping a bound-atom entry releases its artifact, which
-  // may have been the last external reference pinning shard entries
+  // Fixpoint: dropping a trie entry releases its artifact, which may
+  // have been the last external reference pinning shard entries
   // derived from it — the next pass collects those.
   while (SweepOnceLocked()) {
   }

@@ -19,12 +19,15 @@
 
 namespace adj::storage {
 
-/// A relation re-columned for one column order and indexed: the
-/// permuted, sorted, duplicate-free relation plus the trie built over
-/// it. This is the immutable artifact every join consumer *borrows*
-/// from the IndexCache instead of rebuilding per run — the way
-/// RDF-TDAA persists its trie-shaped indexes across queries rather
-/// than reconstructing them per lookup.
+/// One (relation, permutation)'s index: the relation with its columns
+/// permuted, sorted, and deduplicated, plus the trie built over it.
+/// Both handles are the cache's physical artifacts, keyed by the
+/// permutation alone, so every consumer of one permutation *borrows*
+/// the same rows buffer and trie instead of rebuilding per run — the
+/// way RDF-TDAA persists its trie-shaped indexes across queries rather
+/// than reconstructing them per lookup. Attribute names belong to the
+/// query, not to storage: a bind site relabels `rel` under its atom's
+/// schema with an O(1) Relation::AliasSpan (wcoj::PrepareRelationShared).
 struct PreparedIndex {
   std::shared_ptr<const Relation> rel;  // permuted + SortAndDedup'ed
   std::shared_ptr<const Trie> trie;     // built over `rel`
@@ -58,18 +61,19 @@ struct IndexBuildStats {
 /// result by pointer; tries are never deep-copied.
 ///
 /// Key: `identity` is the address of the physical source object (a
-/// Relation for bound-atom indexes, a bound relation for HCube shard
-/// indexes); `spec` encodes everything else the build depends on
-/// (column order, share vector, variant, server count). Relations
-/// reachable through a catalog are immutable, so an entry never goes
-/// *stale* — it only becomes garbage once its source is unreachable.
+/// base Relation for permuted indexes, a permuted index's trie for
+/// HCube shard indexes); `spec` encodes everything else the build
+/// depends on (column order, share vector, variant, server count).
+/// Relations reachable through a catalog are immutable, so an entry
+/// never goes *stale* — it only becomes garbage once its source is
+/// unreachable.
 ///
 /// Lifetime / invalidation: every entry carries a `pin`, a shared
-/// handle to its source. Sweep() — called by Catalog on every
-/// generation() bump — drops entries whose pin the cache alone still
-/// holds: replacing a relation evicts its indexes (and, transitively,
-/// shard indexes derived from them) as soon as the last consumer lets
-/// go, while indexes of untouched relations survive pointer-identical.
+/// handle to its source. Sweep() — called by Catalog after every
+/// write — drops entries whose pin the cache alone still holds:
+/// replacing a relation evicts its indexes (and, transitively, shard
+/// indexes derived from them) as soon as the last consumer lets go,
+/// while indexes of untouched relations survive pointer-identical.
 /// The pin also rules out identity ABA: a key address cannot be reused
 /// while its entry is resident.
 ///
@@ -86,9 +90,9 @@ struct IndexBuildStats {
 /// see serve::PreparedQueryCache.)
 ///
 /// Persistence: the permuted layers can round-trip through a snapshot.
-/// ExportPermutedIndexes() hands the writer every perm-keyed payload
-/// with its labelings; AdoptPermuted() re-seats payloads whose arrays
-/// view an mmap'ed snapshot, flagged so hits report as mmap-loaded.
+/// ExportPermutedIndexes() hands the writer every perm-keyed payload;
+/// AdoptPermuted() re-seats payloads whose arrays view an mmap'ed
+/// snapshot, flagged so hits report as mmap-loaded.
 class IndexCache {
  public:
   struct Stats {
@@ -149,66 +153,54 @@ class IndexCache {
       std::shared_ptr<const void> pin, const BuildFn& build,
       IndexBuildStats* stats = nullptr);
 
-  /// The tentpole key — (relation identity, column order): `base`
-  /// with column i of the result taken from column perm[i], under
-  /// `schema`, sorted, deduplicated, and trie-indexed. Pointer-equal
-  /// results for repeated requests.
-  ///
-  /// Layered internally: the physical payload (permuted sorted rows,
-  /// and the trie over them) is keyed by the permutation alone and
-  /// shared across every attribute labeling; the labeled artifact is a
-  /// near-zero-cost alias over it. Ten labelings of one permutation
-  /// cost one rows buffer and one trie, not ten.
-  StatusOr<std::shared_ptr<const PreparedIndex>> GetPermuted(
-      std::shared_ptr<const Relation> base, const Schema& schema,
-      const std::vector<int>& perm, IndexBuildStats* stats = nullptr);
+  /// The permuted index of (relation identity, column order): `base`
+  /// with column i of the result taken from column perm[i], sorted,
+  /// deduplicated, and trie-indexed. Two physical entries back it —
+  /// the rows payload and the trie over it, both keyed by the
+  /// permutation alone — so repeated requests return pointer-equal
+  /// handles. `rel` keeps base's schema, of which only the arity means
+  /// anything here; bind sites relabel it under their atom's attributes
+  /// (wcoj::PrepareRelationShared). `stats` ticks once, at the trie
+  /// layer.
+  StatusOr<PreparedIndex> GetPermuted(std::shared_ptr<const Relation> base,
+                                      const std::vector<int>& perm,
+                                      IndexBuildStats* stats = nullptr);
 
-  /// Trie-less variant for hash-join-only binds: the permuted, sorted,
-  /// deduplicated relation under `schema`, sharing its row payload with
-  /// other labelings of the same permutation *and* with GetPermuted's
-  /// trie-backed artifacts — but never paying for a trie build.
+  /// Trie-less variant for hash-join-only binds: the rows payload
+  /// alone, shared with GetPermuted of the same permutation but never
+  /// paying for a trie build. `stats` ticks once, at the rows layer.
   StatusOr<std::shared_ptr<const Relation>> GetPermutedRelation(
-      std::shared_ptr<const Relation> base, const Schema& schema,
-      const std::vector<int>& perm, IndexBuildStats* stats = nullptr);
+      std::shared_ptr<const Relation> base, const std::vector<int>& perm,
+      IndexBuildStats* stats = nullptr);
 
-  /// One attribute labeling recorded for a persisted payload: the
-  /// schema it was bound under, and whether the binding was
-  /// trie-backed (GetPermuted) or trie-less (GetPermutedRelation).
-  struct Binding {
-    Schema schema;
-    bool with_trie = true;
-  };
-
-  /// One perm-keyed physical payload, with every labeling bound over
-  /// it — the unit the snapshot writer serializes.
+  /// One perm-keyed physical payload — the unit the snapshot writer
+  /// serializes.
   struct ExportedPayload {
     const void* identity = nullptr;       // base relation address
     std::vector<int> perm;
     std::shared_ptr<const Relation> rows;  // canonical permuted relation
     std::shared_ptr<const Trie> trie;      // null if never trie-bound
-    std::vector<Binding> bindings;
-    uint64_t lru_tick = 0;  // hottest layer tick, for restore ordering
+    uint64_t lru_tick = 0;  // hotter layer's tick, for restore ordering
   };
 
-  /// Snapshot of every resident permuted-index payload (rows / trie /
-  /// bind layers folded back together). Artifacts are shared, not
-  /// copied; identities are only meaningful to a caller that can map
-  /// them back to relations it holds (the catalog snapshot writer).
+  /// Snapshot of every resident permuted-index payload (rows and trie
+  /// entries folded together). Artifacts are shared, not copied;
+  /// identities are only meaningful to a caller that can map them back
+  /// to relations it holds (the catalog snapshot writer).
   std::vector<ExportedPayload> ExportPermutedIndexes() const;
 
   /// Re-seats one permuted payload loaded from a snapshot: `canon`
-  /// (sorted rows viewing mapped memory) and `trie` (FromMapped; may
-  /// be null if no binding needs it) are installed under the same keys
-  /// GetPermuted/GetPermutedRelation would build, flagged mmap so hits
-  /// report as mmap-loaded, plus one aliased entry per binding.
-  /// Existing entries win (adoption never clobbers); the byte budget
-  /// applies as usual. `base` must be the relation the payload was
-  /// exported from — in the restored catalog, not the saved one.
+  /// (sorted rows viewing mapped memory) and `trie` (FromMapped; null
+  /// if the payload was never trie-bound) are installed under the keys
+  /// GetPermuted/GetPermutedRelation resolve, flagged mmap so hits
+  /// report as mmap-loaded. Existing entries win (adoption never
+  /// clobbers); the byte budget applies as usual. `base` must be the
+  /// relation the payload was exported from — in the restored catalog,
+  /// not the saved one.
   Status AdoptPermuted(std::shared_ptr<const Relation> base,
                        const std::vector<int>& perm,
                        std::shared_ptr<const Relation> canon,
-                       std::shared_ptr<const Trie> trie,
-                       const std::vector<Binding>& bindings);
+                       std::shared_ptr<const Trie> trie);
 
   /// Registers a delta edge from relation version `prev` to its
   /// successor `next` (the catalog calls this on every tuple write,
@@ -228,9 +220,10 @@ class IndexCache {
                  const std::shared_ptr<const Relation>& next,
                  std::shared_ptr<const DeltaBatch> delta);
 
-  /// Garbage collection, run on every catalog generation bump: drops
-  /// entries (iterating to a fixpoint, so derived entries chain) whose
-  /// pin is held by nothing outside this cache.
+  /// Garbage collection, run after every catalog write: drops entries
+  /// (iterating to a fixpoint, so derived entries chain) whose pin is
+  /// held by nothing outside this cache — entry pins and the tries
+  /// patch sources hold count as inside.
   void Sweep();
 
   /// Re-applies the byte budget (LRU eviction of entries no consumer
@@ -252,10 +245,9 @@ class IndexCache {
   /// Structured key for permuted-layer entries, kept so the snapshot
   /// writer can enumerate payloads without parsing spec strings.
   struct PermutedMeta {
-    enum Kind { kRows, kTrie, kBind, kRel };
+    enum Kind { kRows, kTrie };
     Kind kind = kRows;
     std::vector<int> perm;
-    Schema schema;  // labeled layers only (kBind/kRel)
   };
 
   struct Entry {
@@ -289,28 +281,26 @@ class IndexCache {
     std::map<std::string, PatchSource> by_perm;
   };
 
-  /// Physical layers under GetPermuted/GetPermutedRelation: the
-  /// canonical permuted relation (sorted row payload) and the trie
-  /// over it, keyed by the permutation alone (no attribute labeling).
-  /// These tick cache-wide stats but not the consumer's
-  /// IndexBuildStats — the labeled top-level artifact accounts for the
-  /// consumer-visible hit/build.
-  /// `patched_out`, when given, reports whether the returned payload
-  /// is delta-patched (set on hits too — labeled layers inherit the
-  /// flag); `merged_out` reports delta rows merged *by this call*
-  /// (zero on a hit), so the triggering labeled bind charges the merge
-  /// to its consumer exactly once.
+  /// The two physical layers under GetPermuted/GetPermutedRelation,
+  /// keyed by the permutation alone: the canonical permuted relation
+  /// (sorted row payload) and the trie over it. `stats` ticks this
+  /// layer's hit/build. `merged_out` reports delta rows merged *by
+  /// this call* (zero on a hit), so the bind that triggered the merge
+  /// charges it to its consumer exactly once.
   StatusOr<std::shared_ptr<const Relation>> GetPermutedRows(
-      const std::shared_ptr<const Relation>& base, const Schema& schema,
-      const std::vector<int>& perm, bool* patched_out = nullptr,
+      const std::shared_ptr<const Relation>& base,
+      const std::vector<int>& perm, IndexBuildStats* stats,
       uint64_t* merged_out = nullptr);
+  /// The trie over `rows`, this base's GetPermutedRows payload; a trie
+  /// built over a patched payload counts as patched.
   StatusOr<std::shared_ptr<const Trie>> GetPermutedTrie(
-      const std::shared_ptr<const Relation>& base, const Schema& schema,
-      const std::vector<int>& perm);
+      const std::shared_ptr<const Relation>& base,
+      const std::vector<int>& perm, const Relation& rows,
+      IndexBuildStats* stats);
 
   /// Whether the resident entry under (identity, spec) was produced by
-  /// (or derived from) a delta patch — how the labeled layers inherit
-  /// patched-ness from the rows payload they alias.
+  /// (or derived from) a delta patch — how a trie inherits
+  /// patched-ness from the rows payload it is built over.
   bool EntryIsPatched(const void* identity, const std::string& spec) const;
 
   /// Takes (without consuming) the patch source for (base, perm), if a

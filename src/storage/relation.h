@@ -19,35 +19,23 @@ namespace adj::storage {
 /// state the trie builder requires.
 ///
 /// A relation can also *alias* an external row payload: reads go
-/// through a borrowed span and cost no copy. AliasRows shares another
-/// relation's heap vector (how the index cache hands one physical
-/// permutation to many attribute labelings); AliasSpan views arbitrary
-/// read-only memory kept alive by an opaque handle — in particular an
-/// mmap'ed snapshot segment, which is how persist loads relations with
-/// zero parsing. Mutation detaches (copy-on-write), so aliasing stays
-/// an implementation detail to callers.
+/// through a borrowed span and cost no copy. AliasSpan views read-only
+/// memory kept alive by an opaque handle — another relation's rows
+/// (how a bind site labels the index cache's one permuted payload
+/// with its atom's attributes) or an mmap'ed snapshot segment (how
+/// persist loads relations with zero parsing). Mutation detaches
+/// (copy-on-write), so aliasing stays an implementation detail to
+/// callers.
 class Relation {
  public:
   Relation() = default;
   explicit Relation(Schema schema) : schema_(std::move(schema)) {}
 
-  /// A relation whose rows alias `rows` (no copy). Callers must not
-  /// mutate `*rows` afterwards; Relation mutators copy-on-write.
-  static Relation AliasRows(Schema schema,
-                            std::shared_ptr<const std::vector<Value>> rows) {
-    Relation r(std::move(schema));
-    if (rows != nullptr) {
-      r.view_ = std::span<const Value>(rows->data(), rows->size());
-      r.keepalive_ = std::move(rows);
-    }
-    return r;
-  }
-
   /// A relation whose rows view `rows` directly — typically a segment
   /// of an mmap'ed snapshot. `keepalive` must own the viewed memory
   /// (the persist::MappedFile, or the canonical Relation the span
   /// belongs to) and is held for the alias's lifetime. Mutators
-  /// copy-on-write, exactly like AliasRows.
+  /// copy-on-write.
   static Relation AliasSpan(Schema schema, std::span<const Value> rows,
                             std::shared_ptr<const void> keepalive) {
     Relation r(std::move(schema));
@@ -118,8 +106,8 @@ class Relation {
                       : static_cast<const void*>(&data_);
   }
 
-  /// Whether reads go through a borrowed payload (AliasRows/AliasSpan)
-  /// rather than owned heap storage.
+  /// Whether reads go through a borrowed payload (AliasSpan) rather
+  /// than owned heap storage.
   bool is_alias() const { return keepalive_ != nullptr; }
 
   std::string ToString(uint64_t max_rows = 16) const;

@@ -525,25 +525,50 @@ std::vector<int> AscendingRank(int num_attrs) {
   return rank;
 }
 
-StatusOr<SharedPreparedRelation> PrepareRelationShared(
-    std::shared_ptr<const storage::Relation> base,
-    const std::vector<AttrId>& atom_attrs, const std::vector<int>& rank,
-    storage::IndexCache& cache, storage::IndexBuildStats* stats) {
+namespace {
+
+/// The column permutation that binds `base` to `atom_attrs` with
+/// attribute ranks ascending, and the atom's schema in that order.
+StatusOr<storage::Schema> BindOrder(const storage::Relation* base,
+                                    const std::vector<AttrId>& atom_attrs,
+                                    const std::vector<int>& rank,
+                                    std::vector<int>* perm) {
   if (base == nullptr) {
     return Status::InvalidArgument("null base relation in PrepareRelation");
   }
   if (base->arity() != static_cast<int>(atom_attrs.size())) {
     return Status::InvalidArgument("atom arity mismatch in PrepareRelation");
   }
-  storage::Schema bound(atom_attrs);
+  return storage::Schema(atom_attrs).SortedBy(rank, perm);
+}
+
+/// The atom's view of a cached rows payload: an alias under `schema`,
+/// no row copy.
+std::shared_ptr<const storage::Relation> Label(
+    const storage::Schema& schema,
+    std::shared_ptr<const storage::Relation> rows) {
+  const std::span<const Value> raw = rows->raw();
+  return std::make_shared<const storage::Relation>(
+      storage::Relation::AliasSpan(schema, raw, std::move(rows)));
+}
+
+}  // namespace
+
+StatusOr<SharedPreparedRelation> PrepareRelationShared(
+    std::shared_ptr<const storage::Relation> base,
+    const std::vector<AttrId>& atom_attrs, const std::vector<int>& rank,
+    storage::IndexCache& cache, storage::IndexBuildStats* stats) {
   std::vector<int> perm;
-  storage::Schema sorted = bound.SortedBy(rank, &perm);
-  StatusOr<std::shared_ptr<const storage::PreparedIndex>> index =
-      cache.GetPermuted(std::move(base), sorted, perm, stats);
+  StatusOr<storage::Schema> sorted =
+      BindOrder(base.get(), atom_attrs, rank, &perm);
+  if (!sorted.ok()) return sorted.status();
+  StatusOr<storage::PreparedIndex> index =
+      cache.GetPermuted(std::move(base), perm, stats);
   if (!index.ok()) return index.status();
   SharedPreparedRelation out;
-  out.index = std::move(index.value());
-  out.attrs = sorted.attrs();
+  out.index.rel = Label(*sorted, std::move(index->rel));
+  out.index.trie = std::move(index->trie);
+  out.attrs = sorted->attrs();
   return out;
 }
 
@@ -551,21 +576,16 @@ StatusOr<SharedBoundRelation> PrepareRelationRowsShared(
     std::shared_ptr<const storage::Relation> base,
     const std::vector<AttrId>& atom_attrs, const std::vector<int>& rank,
     storage::IndexCache& cache, storage::IndexBuildStats* stats) {
-  if (base == nullptr) {
-    return Status::InvalidArgument("null base relation in PrepareRelation");
-  }
-  if (base->arity() != static_cast<int>(atom_attrs.size())) {
-    return Status::InvalidArgument("atom arity mismatch in PrepareRelation");
-  }
-  storage::Schema bound(atom_attrs);
   std::vector<int> perm;
-  storage::Schema sorted = bound.SortedBy(rank, &perm);
-  StatusOr<std::shared_ptr<const storage::Relation>> rel =
-      cache.GetPermutedRelation(std::move(base), sorted, perm, stats);
-  if (!rel.ok()) return rel.status();
+  StatusOr<storage::Schema> sorted =
+      BindOrder(base.get(), atom_attrs, rank, &perm);
+  if (!sorted.ok()) return sorted.status();
+  StatusOr<std::shared_ptr<const storage::Relation>> rows =
+      cache.GetPermutedRelation(std::move(base), perm, stats);
+  if (!rows.ok()) return rows.status();
   SharedBoundRelation out;
-  out.rel = std::move(rel.value());
-  out.attrs = sorted.attrs();
+  out.rel = Label(*sorted, std::move(*rows));
+  out.attrs = sorted->attrs();
   return out;
 }
 

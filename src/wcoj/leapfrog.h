@@ -134,37 +134,42 @@ StatusOr<PreparedRelation> PrepareRelation(const storage::Relation& base,
                                            const std::vector<int>& rank);
 
 /// A bound atom whose index is borrowed from the shared cache: the
-/// PreparedIndex (permuted sorted relation + trie) is pointer-shared
-/// with every other consumer of the same (relation, column order) —
-/// nothing is rebuilt or deep-copied.
+/// rows buffer and trie are pointer-shared with every other consumer
+/// of the same (relation, column order) — nothing is rebuilt or
+/// deep-copied. `index.rel` is this bind's own O(1) alias of the
+/// cached rows under the atom's attributes; `index.trie` is the cached
+/// trie itself.
 struct SharedPreparedRelation {
-  std::shared_ptr<const storage::PreparedIndex> index;
+  storage::PreparedIndex index;
   std::vector<AttrId> attrs;  // attribute of each trie level
 
-  const storage::Relation& rel() const { return *index->rel; }
-  const storage::Trie& trie() const { return *index->trie; }
+  const storage::Relation& rel() const { return *index.rel; }
+  const storage::Trie& trie() const { return *index.trie; }
 };
 
 /// Cache-backed PrepareRelation: resolves the index for
 /// (base identity, column order implied by `atom_attrs` under `rank`)
-/// through `cache`, building it only on first use. `stats`, when
-/// given, records whether this call built or reused.
+/// through `cache`, building it only on first use, and labels its rows
+/// with the atom's attributes. `stats`, when given, records whether
+/// this call built or reused the trie.
 StatusOr<SharedPreparedRelation> PrepareRelationShared(
     std::shared_ptr<const storage::Relation> base,
     const std::vector<AttrId>& atom_attrs, const std::vector<int>& rank,
     storage::IndexCache& cache, storage::IndexBuildStats* stats = nullptr);
 
 /// A bound atom resolved to its trie-less artifact: the permuted,
-/// sorted relation shared by pointer — what hash-join-only consumers
-/// bind, skipping the trie build entirely while still sharing the row
-/// payload with trie-backed binds of the same column order.
+/// sorted relation, an O(1) alias of the cached rows under the atom's
+/// attributes — what hash-join-only consumers bind, skipping the trie
+/// build entirely while still sharing the row payload with trie-backed
+/// binds of the same column order.
 struct SharedBoundRelation {
   std::shared_ptr<const storage::Relation> rel;
   std::vector<AttrId> attrs;  // attribute of each column
 };
 
 /// Trie-less PrepareRelationShared: same key resolution, but the
-/// artifact is the permuted sorted relation alone (no trie is built).
+/// artifact is the permuted sorted relation alone (no trie is built);
+/// `stats` records whether this call built or reused the rows.
 StatusOr<SharedBoundRelation> PrepareRelationRowsShared(
     std::shared_ptr<const storage::Relation> base,
     const std::vector<AttrId>& atom_attrs, const std::vector<int>& rank,

@@ -220,9 +220,8 @@ TEST(HCubeTest, SingleServerMergeBytesIgnoreTrieCompression) {
   };
   const uint64_t routed = merge_bytes({rel.get(), {0, 1}});
   EXPECT_GT(routed, 0u);
-  EXPECT_EQ(merge_bytes({rel.get(), {0, 1}, nullptr, rel, raw}), routed);
-  EXPECT_EQ(merge_bytes({rel.get(), {0, 1}, nullptr, rel, compressed}),
-            routed);
+  EXPECT_EQ(merge_bytes({rel.get(), {0, 1}, raw, rel}), routed);
+  EXPECT_EQ(merge_bytes({rel.get(), {0, 1}, compressed, rel}), routed);
 }
 
 TEST(HCubeTest, TupleDupMatchesDupCubesWhenCubesFitServers) {

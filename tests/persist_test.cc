@@ -20,6 +20,7 @@
 #include "query/query.h"
 #include "storage/catalog.h"
 #include "storage/trie.h"
+#include "wcoj/leapfrog.h"
 #include "wcoj/naive_join.h"
 
 namespace adj {
@@ -62,7 +63,7 @@ storage::Catalog MakeCatalog() {
 
 /// A warmed api::Database: builtin graph, one prepared triangle query
 /// executed once on a single server, so the index cache holds the
-/// permuted rows, tries, and labeled bindings Save() persists.
+/// permuted rows and tries Save() persists.
 api::Database MakeWarmDatabase(uint64_t* count) {
   api::Database db;
   EXPECT_TRUE(db.LoadBuiltin("AS", 0.15).ok());
@@ -141,9 +142,9 @@ TEST(SnapshotRoundTrip, WarmIndexesServeMmapLoaded) {
   ASSERT_TRUE(db.Save(path).ok());
 
   api::Database restarted;
-  const uint64_t gen_before = restarted.generation();
+  EXPECT_EQ(restarted.relation_version("G"), 0u);
   ASSERT_TRUE(restarted.Open(path).ok());
-  EXPECT_GT(restarted.generation(), gen_before);
+  EXPECT_GT(restarted.relation_version("G"), 0u);
   EXPECT_GT(restarted.catalog().index_cache().stats().mmap_entries, 0u);
 
   api::Session session = restarted.OpenSession();
@@ -159,6 +160,36 @@ TEST(SnapshotRoundTrip, WarmIndexesServeMmapLoaded) {
   EXPECT_EQ(r.count(), in_memory_count);
   EXPECT_EQ(r.index_builds(), 0u);
   EXPECT_GT(r.index_mmap_loaded(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotRoundTrip, UnsavedLabelingBindsMmapLoaded) {
+  // The snapshot stores payloads per (relation, permutation), not per
+  // attribute labeling: a labeling nobody bound before the save binds
+  // the mapped trie after Open without building anything.
+  const std::string path = TempPath("labeling.adjsnap");
+  storage::Catalog db = MakeCatalog();
+  const std::vector<int> rank = wcoj::AscendingRank(3);
+  ASSERT_TRUE(wcoj::PrepareRelationShared(*db.GetShared("E"), {0, 1}, rank,
+                                          db.index_cache())
+                  .ok());
+  ASSERT_TRUE(persist::SnapshotWriter::Write(db, path).ok());
+
+  StatusOr<persist::SnapshotReader> reader =
+      persist::SnapshotReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  storage::Catalog loaded;
+  ASSERT_TRUE(reader->LoadInto(&loaded).ok());
+  storage::IndexBuildStats stats;
+  StatusOr<wcoj::SharedPreparedRelation> bound = wcoj::PrepareRelationShared(
+      *loaded.GetShared("E"), {1, 2}, rank, loaded.index_cache(), &stats);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.mmap_hits, 1u);
+  EXPECT_EQ(stats.builds, 0u);
+  EXPECT_TRUE(bound->trie().mmap_backed());
+  EXPECT_EQ(bound->rel().schema().ToString(), "(b,c)");
+  EXPECT_EQ(bound->rel().size(), 4u);
   std::remove(path.c_str());
 }
 
@@ -298,7 +329,7 @@ TEST(SnapshotRoundTrip, DeepVerifyRejectsUnsortedPayloadRows) {
   StatusOr<std::shared_ptr<const storage::Relation>> base = db.GetShared("E");
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(db.index_cache()
-                  .AdoptPermuted(*base, {0, 1}, *base, nullptr, {})
+                  .AdoptPermuted(*base, {0, 1}, *base, nullptr)
                   .ok());
   ASSERT_TRUE(persist::SnapshotWriter::Write(db, path).ok());
   StatusOr<persist::SnapshotReader> reader =
@@ -366,9 +397,9 @@ class SnapshotCorruptionTest : public ::testing::Test {
     storage::Relation keep((storage::Schema({0, 1})));
     keep.Append({1, 2});
     db.AddRelation("KEEP", std::move(keep));
-    const uint64_t gen = db.generation();
+    const uint64_t version = db.relation_version("KEEP");
     EXPECT_FALSE(db.Open(path_).ok()) << what;
-    EXPECT_EQ(db.generation(), gen) << what;
+    EXPECT_EQ(db.relation_version("KEEP"), version) << what;
     EXPECT_EQ(db.relation_names(), std::vector<std::string>{"KEEP"}) << what;
   }
 
@@ -423,9 +454,10 @@ TEST_F(SnapshotCorruptionTest, WrongMagic) {
 }
 
 TEST_F(SnapshotCorruptionTest, WrongVersion) {
-  // A future version, and v3 — the previous layout, with relation and
-  // payload mirrors — are both rejected by the v4-only reader.
-  for (uint8_t version : {uint8_t{0x7F}, uint8_t{3}}) {
+  // A future version, v4 — the previous layout, with per-labeling
+  // binding records — and v3, with relation and payload mirrors, are
+  // all rejected by the v5-only reader.
+  for (uint8_t version : {uint8_t{0x7F}, uint8_t{4}, uint8_t{3}}) {
     std::vector<uint8_t> mutated = bytes_;
     mutated[8] = version;  // version field (little-endian low byte)
     WriteFile(path_, mutated);

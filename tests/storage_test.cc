@@ -240,34 +240,39 @@ TEST(CatalogTest, PutSharedBorrowsAcrossCatalogs) {
   EXPECT_FALSE(exec_db.Contains("null"));
 }
 
-TEST(CatalogTest, GenerationBumpsOnEveryMappingMutation) {
+TEST(CatalogTest, VersionBumpsOnEveryMappingMutation) {
   Catalog db;
-  EXPECT_EQ(db.generation(), 0u);
+  EXPECT_EQ(db.VersionOf("G"), 0u);
 
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
   db.Put("G", std::move(r));
-  EXPECT_EQ(db.generation(), 1u);
+  EXPECT_EQ(db.VersionOf("G"), 1u);
 
-  // Every successful mapping mutation bumps: Alias, PutShared, and a
-  // replacing Put all invalidate plans built against the old mapping.
+  // Every successful mapping mutation bumps the name it binds: Alias,
+  // PutShared, and a replacing Put all invalidate plans built against
+  // the old mapping — and leave other names' versions alone.
   ASSERT_TRUE(db.Alias("G2", "G").ok());
-  EXPECT_EQ(db.generation(), 2u);
+  EXPECT_EQ(db.VersionOf("G2"), 1u);
   auto shared = db.GetShared("G");
   ASSERT_TRUE(shared.ok());
   ASSERT_TRUE(db.PutShared("G3", std::move(shared.value())).ok());
-  EXPECT_EQ(db.generation(), 3u);
+  EXPECT_EQ(db.VersionOf("G3"), 1u);
   Relation replacement(Schema({0, 1}));
   replacement.Append({7, 8});
   db.Put("G", std::move(replacement));
-  EXPECT_EQ(db.generation(), 4u);
+  EXPECT_EQ(db.VersionOf("G"), 2u);
+  EXPECT_EQ(db.VersionOf("G2"), 1u);
+  EXPECT_EQ(db.VersionOf("G3"), 1u);
 
-  // Reads and failed mutations leave the generation untouched.
+  // Reads and failed mutations leave every version untouched.
   (void)db.Get("G");
   (void)db.Names();
   EXPECT_FALSE(db.Alias("X", "missing").ok());
   EXPECT_FALSE(db.PutShared("null", nullptr).ok());
-  EXPECT_EQ(db.generation(), 4u);
+  EXPECT_EQ(db.VersionOf("G"), 2u);
+  EXPECT_EQ(db.VersionOf("X"), 0u);
+  EXPECT_EQ(db.VersionOf("null"), 0u);
 }
 
 }  // namespace
