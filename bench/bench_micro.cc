@@ -21,6 +21,15 @@ storage::Relation MakeGraph(int64_t edges) {
                             uint64_t(edges), 0.8, rng);
 }
 
+/// A catalog binding MakeGraph(edges) as "G".
+storage::Catalog GraphCatalog(int64_t edges) {
+  storage::Catalog db;
+  storage::WriteBatch load;
+  load.Create("G", MakeGraph(edges));
+  (void)db.Apply(load);
+  return db;
+}
+
 void BM_TrieBuild(benchmark::State& state) {
   storage::Relation rel = MakeGraph(state.range(0));
   for (auto _ : state) {
@@ -45,8 +54,7 @@ void BM_TrieSeek(benchmark::State& state) {
 BENCHMARK(BM_TrieSeek)->Arg(1 << 12)->Arg(1 << 17);
 
 void BM_LeapfrogTriangle(benchmark::State& state) {
-  storage::Catalog db;
-  db.Put("G", MakeGraph(state.range(0)));
+  storage::Catalog db = GraphCatalog(state.range(0));
   auto q = query::MakeBenchmarkQuery(1);
   query::AttributeOrder order = {0, 1, 2};
   const std::vector<int> rank = query::RankOf(order, 3);
@@ -71,8 +79,7 @@ void BM_LeapfrogTriangle(benchmark::State& state) {
 BENCHMARK(BM_LeapfrogTriangle)->Arg(1 << 13)->Arg(1 << 15);
 
 void BM_CachedLeapfrogTriangle(benchmark::State& state) {
-  storage::Catalog db;
-  db.Put("G", MakeGraph(state.range(0)));
+  storage::Catalog db = GraphCatalog(state.range(0));
   auto q = query::MakeBenchmarkQuery(1);
   query::AttributeOrder order = {0, 1, 2};
   const std::vector<int> rank = query::RankOf(order, 3);
@@ -93,8 +100,7 @@ void BM_CachedLeapfrogTriangle(benchmark::State& state) {
 BENCHMARK(BM_CachedLeapfrogTriangle)->Arg(1 << 13)->Arg(1 << 15);
 
 void BM_HCubeShuffle(benchmark::State& state) {
-  storage::Catalog db;
-  db.Put("G", MakeGraph(1 << 15));
+  storage::Catalog db = GraphCatalog(1 << 15);
   auto q = query::MakeBenchmarkQuery(1);
   query::AttributeOrder order = {0, 1, 2};
   const std::vector<int> rank = query::RankOf(order, 3);

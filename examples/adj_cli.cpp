@@ -13,7 +13,7 @@
 //     --insert R:a,b    queue a tuple insert into relation R; repeat
 //                       freely — all queued writes are applied as ONE
 //                       atomic storage::WriteBatch before the query,
-//                       extending R's delta chain (cached/mapped
+//                       merged into R's next version (cached/mapped
 //                       indexes are delta-patched, not rebuilt)
 //     --remove R:a,b    queue a tombstone, same batch semantics
 //     --servers N       simulated servers (default 4)
@@ -214,8 +214,8 @@ int main(int argc, char** argv) {
 
   if (!writes.empty()) {
     // One atomic batch: a validation failure (unknown relation, arity
-    // mismatch) applies nothing. Tuple writes extend the targets'
-    // delta chains; snapshot-mapped bases stay mapped.
+    // mismatch) applies nothing. Tuple writes merge into the targets'
+    // next versions; their mapped indexes are patched on the next bind.
     const size_t ops = writes.size();
     Status applied = db.Apply(writes);
     if (!applied.ok()) {

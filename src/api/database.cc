@@ -20,7 +20,7 @@ Status Database::LoadBuiltin(const std::string& dataset, double scale,
                              const std::string& as) {
   StatusOr<storage::Relation> rel = dataset::MakeBuiltin(dataset, scale);
   if (!rel.ok()) return rel.status();
-  catalog_->Put(as, std::move(rel.value()));
+  AddRelation(as, std::move(rel.value()));
   return Status::OK();
 }
 
@@ -28,12 +28,14 @@ Status Database::LoadEdgeList(const std::string& path,
                               const std::string& as) {
   StatusOr<storage::Relation> rel = storage::LoadEdgeList(path);
   if (!rel.ok()) return rel.status();
-  catalog_->Put(as, std::move(rel.value()));
+  AddRelation(as, std::move(rel.value()));
   return Status::OK();
 }
 
 void Database::AddRelation(const std::string& name, storage::Relation rel) {
-  catalog_->Put(name, std::move(rel));
+  storage::WriteBatch batch;
+  batch.Create(name, std::move(rel));
+  (void)catalog_->Apply(batch);  // a one-op create cannot fail validation
 }
 
 Status Database::Save(const std::string& path) const {

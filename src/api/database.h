@@ -62,11 +62,11 @@ class Database {
   /// mutation, so a failed Apply leaves the database untouched; on
   /// success every touched relation's relation_version() advances and
   /// untouched relations (and every index and prepared plan bound to
-  /// them) stay exactly as they were. Tuple writes land as delta
-  /// batches on the relation's immutable base: readers see the merged
-  /// ("effective") relation immediately, while cached indexes of the
-  /// pre-write version are delta-patched on their next bind instead of
-  /// rebuilt (see storage::Catalog and docs/UPDATES.md).
+  /// them) stay exactly as they were. A tuple write merges its delta
+  /// into a new immutable version of the relation, which readers see
+  /// immediately; cached indexes of the pre-write version are
+  /// delta-patched on their next bind instead of rebuilt (see
+  /// storage::Catalog and docs/UPDATES.md).
   ///
   /// Thread-safety matches the load methods: Apply is a writer — do
   /// not run it concurrently with query execution. serve::Server::Apply
@@ -75,18 +75,10 @@ class Database {
     return catalog_->Apply(batch);
   }
 
-  /// Accumulated delta rows at which a written relation folds its
-  /// pending chain into a new base (storage::Catalog compaction,
-  /// default 4096). A write-workload tuning knob: lower trades merge
-  /// work on reads for more frequent O(base) folds.
-  void set_delta_compact_threshold(uint64_t rows) {
-    catalog_->set_delta_compact_threshold(rows);
-  }
-
   /// Serializes the catalog into a versioned, checksummed snapshot:
-  /// every relation plus every resident permuted-index artifact of
-  /// the index cache, each written once in its mmap-able resident form
-  /// (raw rows; trie levels raw or block-compressed).
+  /// every name's current relation plus every resident permuted-index
+  /// artifact of the index cache, each written once in its mmap-able
+  /// resident form (raw rows; trie levels raw or block-compressed).
   /// Atomic (temp file + rename); overwrites `path`.
   Status Save(const std::string& path) const;
 

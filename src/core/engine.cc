@@ -332,18 +332,21 @@ StatusOr<ExecutionContext> Engine::PrepareExecution(
   // Build the execution catalog: the base relations the rewritten
   // query still references are aliased — shared, never copied — from
   // the engine's catalog, so preparing (and every later run) is
-  // O(query) in base-relation cost.
+  // O(query) in base-relation cost. Aliases and bags queue into one
+  // batch, applied once below.
   exec::RewrittenQuery rewritten =
       exec::RewriteWithBags(q, plan.decomp, plan.precompute);
+  storage::WriteBatch batch;
+  std::set<std::string> queued;
   for (const query::Atom& atom : rewritten.query.atoms()) {
-    if (ctx.db.Contains(atom.relation) ||
-        atom.relation.rfind("__bag", 0) == 0) {
+    if (atom.relation.rfind("__bag", 0) == 0 ||
+        !queued.insert(atom.relation).second) {
       continue;
     }
     StatusOr<std::shared_ptr<const storage::Relation>> base =
         db_->GetShared(atom.relation);
     if (!base.ok()) return base.status();
-    ADJ_RETURN_IF_ERROR(ctx.db.PutShared(atom.relation, std::move(*base)));
+    batch.Create(atom.relation, std::move(*base));
   }
   ctx.query = std::move(rewritten.query);
 
@@ -372,7 +375,7 @@ StatusOr<ExecutionContext> Engine::PrepareExecution(
             reuse->prev->db.GetShared(name);
         if (!prior.ok()) return prior.status();
         ctx.bag_bytes += (*prior)->SizeBytes();
-        ADJ_RETURN_IF_ERROR(ctx.db.PutShared(name, std::move(*prior)));
+        batch.Create(name, std::move(*prior));
         continue;
       }
     }
@@ -381,14 +384,16 @@ StatusOr<ExecutionContext> Engine::PrepareExecution(
         options.limits);
     if (!bag.ok()) {
       ctx.precompute_status = bag.status();
-      return ctx;
+      break;
     }
     ctx.precompute_s += bag->comm_s + bag->comp_s +
                         options.cluster.net.stage_overhead_s;
     ctx.precompute_comm.Add(bag->comm);
     ctx.bag_bytes += bag->rel.SizeBytes();
-    ctx.db.Put(name, std::move(bag->rel));
+    batch.Create(name, std::move(bag->rel));
   }
+  ADJ_RETURN_IF_ERROR(ctx.db.Apply(batch));
+  if (!ctx.precompute_status.ok()) return ctx;
 
   // Pin the bound-atom indexes the final join will request (bases and
   // bags alike): they are built now, shared through the cache, and the

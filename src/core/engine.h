@@ -94,7 +94,9 @@ struct ExecutionContext {
 ///
 /// Typical use:
 ///   storage::Catalog db;
-///   db.Put("G", dataset::MakeBuiltin("LJ").value());
+///   storage::WriteBatch load;
+///   load.Create("G", dataset::MakeBuiltin("LJ").value());
+///   db.Apply(load);
 ///   query::Query q = *query::MakeBenchmarkQuery(5);
 ///   Engine engine(&db);
 ///   exec::RunReport r = *engine.Run(q, Strategy::kCoOpt, {});

@@ -230,29 +230,19 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
     builder.WriteRaw(header);
   }
 
-  // Distinct physical relations — each entry's base and effective
-  // (same pointer until the first write) — then the per-name entry
-  // states over them.
+  // Distinct physical relations (aliases share one), then each name's
+  // binding over them.
   std::vector<std::string> names = catalog.Names();
   std::map<const Relation*, uint32_t> phys_index;
   std::vector<std::shared_ptr<const Relation>> phys;
-  struct NamedEntry {
-    std::string name;
-    storage::Catalog::EntryState state;
-  };
-  std::vector<NamedEntry> entries;
-  auto intern = [&](const std::shared_ptr<const Relation>& rel) {
-    auto [it, inserted] =
-        phys_index.emplace(rel.get(), static_cast<uint32_t>(phys.size()));
-    if (inserted) phys.push_back(rel);
-    return it->second;
-  };
+  std::vector<storage::Catalog::EntryState> entries;
   for (const std::string& name : names) {
     StatusOr<storage::Catalog::EntryState> state = catalog.Inspect(name);
     if (!state.ok()) return state.status();
-    intern(state->base);
-    intern(state->effective);
-    entries.push_back({name, std::move(*state)});
+    if (phys_index.emplace(state->rel.get(), uint32_t(phys.size())).second) {
+      phys.push_back(state->rel);
+    }
+    entries.push_back(std::move(*state));
   }
 
   std::vector<uint8_t> manifest;
@@ -266,30 +256,15 @@ StatusOr<WriteStats> SnapshotWriter::Write(const storage::Catalog& catalog,
     PutVarint(rows_seg, &manifest);
     ++stats.relations;
   }
-  // Per-name entry state: base + effective physical indexes, version,
-  // and the pending delta chain with its rows inline — chains are
-  // bounded by the compaction threshold, so this stays a small varint
-  // run inside the (checksummed) manifest rather than aligned
-  // segments.
   PutVarint(entries.size(), &manifest);
-  for (const NamedEntry& e : entries) {
-    PutString(e.name, &manifest);
-    PutVarint(phys_index.at(e.state.base.get()), &manifest);
-    PutVarint(phys_index.at(e.state.effective.get()), &manifest);
-    PutVarint(e.state.version, &manifest);
-    PutVarint(e.state.deltas.size(), &manifest);
-    for (const auto& delta : e.state.deltas) {
-      for (const Relation* side : {&delta->inserts, &delta->deletes}) {
-        PutVarint(side->size(), &manifest);
-        for (Value v : side->raw()) PutVarint(v, &manifest);
-        stats.delta_rows += side->size();
-      }
-      ++stats.delta_batches;
-    }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    PutString(names[i], &manifest);
+    PutVarint(phys_index.at(entries[i].rel.get()), &manifest);
+    PutVarint(entries[i].version, &manifest);
     ++stats.names;
   }
 
-  // Resident permuted-index payloads whose base is a catalog relation
+  // Resident permuted-index payloads whose source is a catalog relation
   // (the cache may also hold indexes over execution-catalog bags and
   // shuffle shards; those are derived state, rebuilt on demand).
   // Ascending LRU order, so restore re-creates the same hotness order.
@@ -528,46 +503,18 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
     StatusOr<std::string> name = GetString(buf, &pos);
     if (!name.ok()) return name.status();
     entry.name = std::move(*name);
-    for (auto [field, what] : {std::pair<uint32_t*, const char*>(
-                                   &entry.base, "name base relation"),
-                               {&entry.effective, "name effective relation"}}) {
-      StatusOr<uint64_t> index = get(what);
-      if (!index.ok()) return index.status();
-      if (*index >= reader.relations_.size()) {
-        return Status::InvalidArgument(
-            "snapshot manifest: name '" + entry.name + "' references " +
-            what + " " + std::to_string(*index) + " of " +
-            std::to_string(reader.relations_.size()));
-      }
-      *field = static_cast<uint32_t>(*index);
-    }
-    const int arity = reader.relations_[entry.base].schema.arity();
-    if (reader.relations_[entry.effective].schema.arity() != arity) {
+    StatusOr<uint64_t> index = get("name relation");
+    if (!index.ok()) return index.status();
+    if (*index >= reader.relations_.size()) {
       return Status::InvalidArgument(
-          "snapshot manifest: name '" + entry.name +
-          "' base/effective arity mismatch");
+          "snapshot manifest: name '" + entry.name + "' references relation " +
+          std::to_string(*index) + " of " +
+          std::to_string(reader.relations_.size()));
     }
+    entry.rel = static_cast<uint32_t>(*index);
     StatusOr<uint64_t> version = get("name version");
     if (!version.ok()) return version.status();
     entry.version = *version;
-    StatusOr<uint64_t> num_deltas = get("delta count");
-    if (!num_deltas.ok()) return num_deltas.status();
-    for (uint64_t d = 0; d < *num_deltas; ++d) {
-      DeltaRows delta;
-      for (std::vector<Value>* side : {&delta.inserts, &delta.deletes}) {
-        StatusOr<uint64_t> rows = get("delta row count");
-        if (!rows.ok()) return rows.status();
-        // Each row is `arity` varints; a lying count runs out of
-        // manifest bytes below rather than allocating wild.
-        side->reserve(std::min<uint64_t>(*rows * arity, buf.size() - pos));
-        for (uint64_t r = 0; r < *rows * uint64_t(arity); ++r) {
-          StatusOr<uint64_t> v = get("delta row value");
-          if (!v.ok()) return v.status();
-          side->push_back(static_cast<Value>(*v));
-        }
-      }
-      entry.deltas.push_back(std::move(delta));
-    }
     reader.names_.push_back(std::move(entry));
   }
 
@@ -575,7 +522,7 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
   if (!num_payloads.ok()) return num_payloads.status();
   for (uint64_t i = 0; i < *num_payloads; ++i) {
     Payload p;
-    StatusOr<uint64_t> phys = get("payload base");
+    StatusOr<uint64_t> phys = get("payload relation");
     if (!phys.ok()) return phys.status();
     if (*phys >= reader.relations_.size()) {
       return Status::InvalidArgument(
@@ -819,32 +766,6 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
     stats.mapped_bytes += rows->size_bytes();
     ++stats.relations;
   }
-  // Entry states: mapped base/effective plus the heap-resident delta
-  // chain. The merge kernels assume sorted-unique delta sides; check
-  // at the trust boundary.
-  std::vector<storage::Catalog::EntryState> states;
-  states.reserve(names_.size());
-  for (const NameEntry& n : names_) {
-    storage::Catalog::EntryState state;
-    state.base = phys[n.base];
-    state.effective = phys[n.effective];
-    state.version = n.version;
-    const Schema& schema = relations_[n.base].schema;
-    for (const DeltaRows& d : n.deltas) {
-      auto batch = std::make_shared<storage::DeltaBatch>();
-      batch->inserts = Relation(schema);
-      batch->inserts.mutable_raw() = d.inserts;
-      batch->deletes = Relation(schema);
-      batch->deletes.mutable_raw() = d.deletes;
-      if (!batch->inserts.IsSortedUnique() ||
-          !batch->deletes.IsSortedUnique()) {
-        return Status::InvalidArgument("snapshot delta batch for '" + n.name +
-                                       "' is not sorted-unique");
-      }
-      state.deltas.push_back(std::move(batch));
-    }
-    states.push_back(std::move(state));
-  }
   std::vector<MappedPayload> restored;
   restored.reserve(payloads_.size());
   for (const Payload& p : payloads_) {
@@ -854,16 +775,14 @@ StatusOr<SnapshotReader::LoadStats> SnapshotReader::LoadInto(
     restored.push_back(std::move(*r));
   }
 
-  // Phase 2 — commit. Restore entry states first: each Restore bumps
+  // Phase 2 — commit. Restore name bindings first: each Restore bumps
   // the name's version, so a snapshot open invalidates downstream plan
   // caches exactly like any other reload.
   // Then adopt index payloads, coldest first, so the cache's LRU
   // order matches the saved one and a tight byte budget keeps the hot
   // tail.
-  for (size_t i = 0; i < names_.size(); ++i) {
-    stats.delta_batches += states[i].deltas.size();
-    ADJ_RETURN_IF_ERROR(
-        catalog->Restore(names_[i].name, std::move(states[i])));
+  for (const NameEntry& n : names_) {
+    ADJ_RETURN_IF_ERROR(catalog->Restore(n.name, phys[n.rel], n.version));
     ++stats.names;
   }
   storage::IndexCache& cache = catalog->index_cache();

@@ -16,20 +16,17 @@
 
 namespace adj::persist {
 
-/// Snapshot file format v5 — the build-once / mmap-many layer
+/// Snapshot file format v6 — the build-once / mmap-many layer
 /// (docs/PERSISTENCE.md has the full layout diagram):
 ///
 ///   header | segment* | manifest segment | TOC segment | footer
 ///
-/// The manifest records each catalog name's full delta-aware entry
-/// state — the immutable base relation, the ordered append/tombstone
-/// delta chain (rows inline in the manifest; chains are bounded by the
-/// compaction threshold), the effective relation, and the
-/// per-relation version — so Save/Open round-trips a *written-to*
-/// catalog: a restored entry keeps its mmap-backed base and re-applies
-/// only O(delta) heap rows. Index payloads are recorded per (relation,
-/// permutation) only; attribute labelings belong to queries and are
-/// re-made at bind time for free.
+/// The manifest records each distinct physical relation once and each
+/// catalog name as (name, relation index, version): a snapshot stores
+/// every name's *current* relation exactly once, however often it was
+/// written, and a restored name maps that relation in place. Index
+/// payloads are recorded per (relation, permutation) only; attribute
+/// labelings belong to queries and are re-made at bind time for free.
 ///
 /// Every artifact is stored exactly once, in the form it is served
 /// from: relation and payload rows as raw arrays, trie levels in their
@@ -55,7 +52,7 @@ namespace adj::persist {
 inline constexpr char kMagic[8] = {'A', 'D', 'J', 'S', 'N', 'A', 'P', '1'};
 inline constexpr char kFooterMagic[8] = {'A', 'D', 'J', 'S', 'E', 'O', 'F',
                                          '1'};
-inline constexpr uint32_t kVersion = 5;
+inline constexpr uint32_t kVersion = 6;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr uint64_t kHeaderSize = 32;
 inline constexpr uint64_t kFooterSize = 40;
@@ -90,10 +87,8 @@ uint64_t Checksum(const uint8_t* data, size_t n);
 
 /// What Write() put into the file, for logs and bench records.
 struct WriteStats {
-  uint64_t relations = 0;  // distinct physical relations (bases + effectives)
+  uint64_t relations = 0;  // distinct physical relations
   uint64_t names = 0;      // name bindings (>= relations, aliases)
-  uint64_t delta_batches = 0;  // pending chain batches across all names
-  uint64_t delta_rows = 0;     // insert+tombstone rows in those batches
   uint64_t payloads = 0;   // perm-keyed index payloads
   uint64_t tries = 0;      // payloads carrying a trie
   uint64_t file_bytes = 0;
@@ -141,20 +136,17 @@ class SnapshotReader {
   struct LoadStats {
     uint64_t relations = 0;
     uint64_t names = 0;
-    uint64_t delta_batches = 0;  // chain batches re-attached to entries
     uint64_t payloads = 0;
     uint64_t tries = 0;
     uint64_t mapped_bytes = 0;  // raw bytes now viewed by the catalog
   };
 
   /// Restores the snapshot into `catalog`: Catalog::Restore every
-  /// name's saved entry state — base, pending delta chain, effective,
-  /// version (this bumps the name's version, like any reload) — then
-  /// adopts index payloads, hottest
-  /// last, into the catalog's IndexCache under its byte budget.
-  /// Relations and tries view the mapped file; the MappedFile handle
-  /// is kept alive by them. Delta-chain rows are small (bounded by the
-  /// compaction threshold) and live on the heap.
+  /// name's saved relation and version (this bumps the name's version,
+  /// like any reload), then adopts index payloads, hottest last, into
+  /// the catalog's IndexCache under its byte budget. Relations and
+  /// tries view the mapped file; the MappedFile handle is kept alive
+  /// by them.
   StatusOr<LoadStats> LoadInto(storage::Catalog* catalog) const;
 
  private:
@@ -204,19 +196,11 @@ class SnapshotReader {
   StatusOr<MappedPayload> MapPayload(const Payload& p,
                                      uint64_t* mapped_bytes) const;
 
-  /// One delta batch's rows as decoded from the manifest (row-major,
-  /// base arity), turned into DeltaBatch relations at load time.
-  struct DeltaRows {
-    std::vector<Value> inserts;
-    std::vector<Value> deletes;
-  };
-  /// One name's saved entry state, by physical-relation index.
+  /// One name's binding, by physical-relation index.
   struct NameEntry {
     std::string name;
-    uint32_t base = 0;
-    uint32_t effective = 0;
+    uint32_t rel = 0;
     uint64_t version = 0;
-    std::vector<DeltaRows> deltas;
   };
 
   std::shared_ptr<const MappedFile> file_;

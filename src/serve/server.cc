@@ -407,8 +407,8 @@ api::Result Server::PlanAndRun(Request& req, wcoj::JoinLimits limits,
 }
 
 Status Server::Apply(const storage::WriteBatch& batch) {
-  // Write side: excludes request execution for exactly the O(delta)
-  // catalog mutation. Cache entries are not flushed — the per-relation
+  // Write side: excludes request execution for exactly the catalog
+  // mutation. Cache entries are not flushed — the per-relation
   // versions the batch advances invalidate precisely the plans that
   // read a written relation, on their next lookup.
   std::unique_lock<std::shared_mutex> write_catalog(catalog_mu_);

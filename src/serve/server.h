@@ -203,8 +203,8 @@ class Server {
   /// Pause/Drain choreography: a reader/writer lock serializes it
   /// against in-flight request execution (requests hold the read side;
   /// Apply takes the write side, so it waits for running requests and
-  /// blocks new ones only for the duration of the batch — typically
-  /// microseconds, since tuple writes are O(delta) delta appends).
+  /// blocks new ones only for the duration of the batch: a tuple
+  /// write is one galloping merge into the relation's next version).
   /// Admission stays open throughout. Cached plans whose relations the
   /// batch touched are refreshed on their next request via
   /// api::Session::Reprepare (plan reused, delta-patched indexes, see
@@ -270,7 +270,7 @@ class Server {
   // Serializes Apply (write side) against request execution (read
   // side): everything a request reads through the catalog is immutable
   // once published, so concurrent readers are free, and the write side
-  // only excludes them for the O(delta) catalog mutation itself.
+  // only excludes them for the catalog mutation itself.
   std::shared_mutex catalog_mu_;
 
   mutable std::mutex mu_;

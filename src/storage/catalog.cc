@@ -1,5 +1,6 @@
 #include "storage/catalog.h"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -15,7 +16,7 @@ Status Catalog::Apply(const WriteBatch& batch) {
       auto it = created.find(name);
       if (it != created.end()) return it->second;
       auto rit = relations_.find(name);
-      return rit == relations_.end() ? -1 : rit->second.effective->arity();
+      return rit == relations_.end() ? -1 : rit->second.rel->arity();
     };
     for (const WriteBatch::Op& op : batch.ops_) {
       switch (op.kind) {
@@ -60,7 +61,7 @@ Status Catalog::Apply(const WriteBatch& batch) {
   auto flush = [&](const std::string& name) {
     auto it = pending.find(name);
     if (it == pending.end()) return;
-    const Schema& schema = relations_.at(name).effective->schema();
+    const Schema& schema = relations_.at(name).rel->schema();
     auto delta = std::make_shared<DeltaBatch>();
     delta->inserts = Relation(schema);
     delta->deletes = Relation(schema);
@@ -92,9 +93,7 @@ Status Catalog::Apply(const WriteBatch& batch) {
       case WriteBatch::Op::kCreate: {
         flush(op.name);
         Entry& e = relations_[op.name];
-        e.base = op.rel;
-        e.deltas.clear();
-        e.effective = op.rel;
+        e.rel = op.rel;
         e.canonical = false;
         ++e.version;
         break;
@@ -125,11 +124,11 @@ Status Catalog::Apply(const WriteBatch& batch) {
 void Catalog::ApplyDelta(const std::string& name,
                          std::shared_ptr<DeltaBatch> delta) {
   Entry& e = relations_.at(name);
-  std::shared_ptr<const Relation> prev = e.effective;
+  std::shared_ptr<const Relation> prev = e.rel;
 
   // The merge source must be canonical (sorted, unique). From the
-  // first tuple write on it always is; a base loaded unsorted pays one
-  // sort here, never again.
+  // first tuple write on it always is; a relation loaded unsorted pays
+  // one sort here, never again.
   std::shared_ptr<const Relation> canon = prev;
   if (!e.canonical && !prev->IsSortedUnique()) {
     Relation sorted = *prev;
@@ -139,7 +138,7 @@ void Catalog::ApplyDelta(const std::string& name,
 
   // Prune no-op rows — inserts already present, tombstones of absent
   // tuples — so a version bump means the relation's content actually
-  // changed. O(delta · log base) galloping probes.
+  // changed. O(delta · log n) galloping probes.
   {
     Relation kept(delta->inserts.schema());
     size_t hint = 0;
@@ -175,40 +174,9 @@ void Catalog::ApplyDelta(const std::string& name,
   // sources before anything can sweep them.
   index_cache_->LinkDelta(prev, next, delta);
 
-  e.deltas.push_back(std::move(delta));
-  e.effective = std::move(next);
+  e.rel = std::move(next);
   e.canonical = true;
   ++e.version;
-
-  uint64_t chain_rows = 0;
-  for (const auto& d : e.deltas) chain_rows += d->rows();
-  if (chain_rows >= delta_compact_threshold_) {
-    // Fold: the current effective relation becomes the new base. The
-    // old base and the chain die here (unless shared elsewhere);
-    // index-cache patch records survive — they hold payloads, not the
-    // base.
-    e.base = e.effective;
-    e.deltas.clear();
-  }
-}
-
-void Catalog::Put(const std::string& name, Relation rel) {
-  WriteBatch batch;
-  batch.Create(name, std::move(rel));
-  (void)Apply(batch);  // a one-op create cannot fail validation
-}
-
-Status Catalog::PutShared(const std::string& name,
-                          std::shared_ptr<const Relation> rel) {
-  WriteBatch batch;
-  batch.Create(name, std::move(rel));
-  return Apply(batch);
-}
-
-Status Catalog::Alias(const std::string& alias, const std::string& name) {
-  WriteBatch batch;
-  batch.AliasRelation(alias, name);
-  return Apply(batch);
 }
 
 bool Catalog::Contains(const std::string& name) const {
@@ -220,7 +188,7 @@ StatusOr<const Relation*> Catalog::Get(const std::string& name) const {
   if (it == relations_.end()) {
     return Status::NotFound("relation not in catalog: " + name);
   }
-  return it->second.effective.get();
+  return it->second.rel.get();
 }
 
 StatusOr<std::shared_ptr<const Relation>> Catalog::GetShared(
@@ -229,7 +197,7 @@ StatusOr<std::shared_ptr<const Relation>> Catalog::GetShared(
   if (it == relations_.end()) {
     return Status::NotFound("relation not in catalog: " + name);
   }
-  return it->second.effective;
+  return it->second.rel;
 }
 
 std::vector<std::string> Catalog::Names() const {
@@ -243,7 +211,7 @@ uint64_t Catalog::TotalTuples() const {
   uint64_t n = 0;
   std::set<const Relation*> seen;
   for (const auto& [name, entry] : relations_) {
-    if (seen.insert(entry.effective.get()).second) n += entry.effective->size();
+    if (seen.insert(entry.rel.get()).second) n += entry.rel->size();
   }
   return n;
 }
@@ -252,8 +220,8 @@ uint64_t Catalog::TotalBytes() const {
   uint64_t n = 0;
   std::set<const Relation*> seen;
   for (const auto& [name, entry] : relations_) {
-    if (seen.insert(entry.effective.get()).second) {
-      n += entry.effective->SizeBytes();
+    if (seen.insert(entry.rel.get()).second) {
+      n += entry.rel->SizeBytes();
     }
   }
   return n;
@@ -270,25 +238,21 @@ StatusOr<Catalog::EntryState> Catalog::Inspect(const std::string& name) const {
     return Status::NotFound("relation not in catalog: " + name);
   }
   EntryState state;
-  state.base = it->second.base;
-  state.deltas = it->second.deltas;
-  state.effective = it->second.effective;
+  state.rel = it->second.rel;
   state.version = it->second.version;
   return state;
 }
 
-Status Catalog::Restore(const std::string& name, EntryState state) {
-  if (state.base == nullptr || state.effective == nullptr) {
-    return Status::InvalidArgument("restore needs a base and an effective: " +
-                                   name);
+Status Catalog::Restore(const std::string& name,
+                        std::shared_ptr<const Relation> rel,
+                        uint64_t version) {
+  if (rel == nullptr) {
+    return Status::InvalidArgument("null relation to restore: " + name);
   }
   Entry& e = relations_[name];
-  const uint64_t version = std::max(e.version, state.version) + 1;
-  e.base = std::move(state.base);
-  e.deltas = std::move(state.deltas);
-  e.effective = std::move(state.effective);
-  e.version = version;
-  e.canonical = !e.deltas.empty();
+  e.version = std::max(e.version, version) + 1;
+  e.rel = std::move(rel);
+  e.canonical = false;
   index_cache_->Sweep();
   return Status::OK();
 }

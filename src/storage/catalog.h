@@ -18,32 +18,30 @@ namespace adj::storage {
 /// copy of the same edge relation; the catalog stores each distinct
 /// physical relation once and atoms reference it by name.
 ///
-/// Delta-aware entries: every name binds an *immutable base* relation
-/// (possibly mmap-backed from a persist snapshot) plus an ordered
-/// chain of append/tombstone DeltaBatches, folded down into the
-/// *effective* relation readers see. Get/GetShared always return the
-/// effective relation; each relation version is itself immutable, so
-/// everything derived from it (indexes, prepared contexts) stays
-/// consistent — a write produces a *new* effective relation and
-/// rebinds the name. Once the chain's accumulated rows reach
-/// delta_compact_threshold(), the chain is compacted: the current
-/// effective relation becomes the new base and the deltas are dropped.
+/// Entry model: every name binds exactly one *immutable relation
+/// version* (possibly mmap-backed from a persist snapshot) plus its
+/// per-name version counter — the relations D as they are now, which
+/// is all planning, costing and execution ever read. A write never
+/// mutates a relation: a tuple write galloping-merges its coalesced
+/// DeltaBatch into a new relation and rebinds the name, and the index
+/// cache keeps the pre-write version's payloads only as patch sources
+/// (IndexCache::LinkDelta), so the write's cost to readers is the
+/// index patch on their next bind. The pre-write relation itself is
+/// released as soon as nothing but the cache refers to it.
 ///
 /// Ownership model: entries hold shared_ptr<const Relation>, so a name
-/// can own its relation outright (Put/Create) or borrow one another
-/// catalog — or another name in this catalog — already holds
-/// (PutShared / Alias). Borrowed entries share physical storage with
-/// their source: Get returns the same pointer for every alias, no
-/// tuple data is copied, and the relation stays alive as long as any
-/// catalog references it, even after the source catalog is destroyed.
-/// Writes rebind only the written name: aliases of the old relation
-/// version keep reading it, exactly as with Put.
+/// can own its relation outright or borrow one another catalog — or
+/// another name in this catalog — already holds (WriteBatch::Create
+/// with a shared relation, WriteBatch::AliasRelation). Borrowed
+/// entries share physical storage with their source: Get returns the
+/// same pointer for every alias, no tuple data is copied, and the
+/// relation stays alive as long as any catalog references it, even
+/// after the source catalog is destroyed. Writes rebind only the
+/// written name: aliases of the old relation version keep reading it.
 ///
-/// Mutation surface: WriteBatch + Apply() is the write API — ordered
-/// insert/delete/create/alias ops validated up front and applied
-/// atomically (a rejected batch leaves the catalog untouched). The
-/// historical Put / PutShared / Alias methods are deprecated thin
-/// wrappers over one-op batches.
+/// Mutation surface: WriteBatch + Apply() is the one write API —
+/// ordered insert/delete/create/alias ops validated up front and
+/// applied atomically (a rejected batch leaves the catalog untouched).
 ///
 /// Staleness tracking is *per relation*: every write to a name bumps
 /// VersionOf(name), so caches invalidate only entries whose bound
@@ -72,39 +70,24 @@ class Catalog {
   /// and the index cache is swept once.
   Status Apply(const WriteBatch& batch);
 
-  /// DEPRECATED — wrapper for Apply of a one-op Create batch.
-  /// Registers `rel` under `name`, replacing any previous binding.
-  void Put(const std::string& name, Relation rel);
-
-  /// DEPRECATED — wrapper for Apply of a one-op Create batch.
-  /// Registers an already-shared relation under `name`, replacing any
-  /// previous binding. No tuple data is copied. Null `rel` is
-  /// rejected.
-  Status PutShared(const std::string& name,
-                   std::shared_ptr<const Relation> rel);
-
-  /// DEPRECATED — wrapper for Apply of a one-op AliasRelation batch.
-  /// Binds `alias` to the relation version currently bound to `name`
-  /// in this catalog. NotFound if `name` has no entry.
-  Status Alias(const std::string& alias, const std::string& name);
-
   bool Contains(const std::string& name) const;
 
-  /// Borrowed pointer to the effective relation; valid until the entry
+  /// Borrowed pointer to the bound relation; valid until the entry
   /// is replaced and the last catalog sharing the relation is
   /// destroyed. Aliases of one physical relation return pointer-equal
   /// results.
   StatusOr<const Relation*> Get(const std::string& name) const;
 
-  /// Shared handle to the effective relation — the way to alias a
-  /// relation into another catalog (PutShared) without copying it.
+  /// Shared handle to the bound relation — the way to alias a
+  /// relation into another catalog (WriteBatch::Create) without
+  /// copying it.
   StatusOr<std::shared_ptr<const Relation>> GetShared(
       const std::string& name) const;
 
   std::vector<std::string> Names() const;
 
-  /// Totals over *distinct physical* effective relations: a relation
-  /// registered under several names (Alias/PutShared) is counted once.
+  /// Totals over *distinct physical* relations: a relation registered
+  /// under several names (aliases, shared creates) is counted once.
   uint64_t TotalTuples() const;
   uint64_t TotalBytes() const;
 
@@ -115,37 +98,31 @@ class Catalog {
   /// (VersionOf(name) == v), independent of writes to other names.
   uint64_t VersionOf(const std::string& name) const;
 
-  /// Accumulated delta rows at which a written entry folds its chain
-  /// into a new base (frees the old base and the batches; derived
-  /// patch state survives, it references payloads, not the base).
-  uint64_t delta_compact_threshold() const { return delta_compact_threshold_; }
-  void set_delta_compact_threshold(uint64_t rows) {
-    delta_compact_threshold_ = rows;
-  }
-
-  /// Everything one entry carries — the persist layer serializes this
-  /// (base + chain + effective) so Save/Open round-trips a written-to
-  /// catalog, and tests assert chain/compaction state through it.
+  /// One entry as the persist layer saves it: the bound relation and
+  /// its version.
   struct EntryState {
-    std::shared_ptr<const Relation> base;
-    std::vector<std::shared_ptr<const DeltaBatch>> deltas;
-    std::shared_ptr<const Relation> effective;
+    std::shared_ptr<const Relation> rel;
     uint64_t version = 0;
+    /// Always empty: entries hold no delta chain. Kept only because
+    /// perfbench's mixed-rw writer reads its size to count compactions
+    /// (always 0 now); drop it with the next change to perfbench.
+    std::vector<std::shared_ptr<const DeltaBatch>> deltas;
   };
   StatusOr<EntryState> Inspect(const std::string& name) const;
 
-  /// Installs a fully-formed entry (snapshot restore): `state.base` /
-  /// `state.effective` must be non-null; the name's version becomes
-  /// max(current, state.version) + 1 so restored-over entries still
-  /// read as written. Sweeps the index cache like any write.
-  Status Restore(const std::string& name, EntryState state);
+  /// Installs a relation loaded from a snapshot under `name`; the
+  /// name's version becomes max(current, `version`) + 1 so
+  /// restored-over entries still read as written. Null `rel` is
+  /// rejected. Sweeps the index cache like any write.
+  Status Restore(const std::string& name, std::shared_ptr<const Relation> rel,
+                 uint64_t version);
 
   /// The shared index layer riding alongside this catalog: every bind
   /// site (wcoj / exec / dist / optimizer) requests permuted-sorted-
   /// trie-indexed artifacts through it instead of constructing inline.
   /// Internally synchronized, hence usable through const catalogs; a
   /// write sweeps entries whose source relation is no longer
-  /// reachable, after linking deltas for merge-on-read patching.
+  /// reachable, after linking its delta for merge-on-read patching.
   IndexCache& index_cache() const { return *index_cache_; }
 
   /// Makes this catalog use `other`'s index cache, so indexes built
@@ -157,23 +134,20 @@ class Catalog {
 
  private:
   struct Entry {
-    std::shared_ptr<const Relation> base;
-    std::vector<std::shared_ptr<const DeltaBatch>> deltas;
-    std::shared_ptr<const Relation> effective;
+    std::shared_ptr<const Relation> rel;
     uint64_t version = 0;
-    // Whether `effective` is known lexicographically sorted + unique
+    // Whether `rel` is known lexicographically sorted + unique
     // (true from the first tuple write on: merged output is canonical).
     bool canonical = false;
   };
 
   /// Applies one coalesced DeltaBatch to `name` (which must exist):
-  /// computes the next effective relation by galloping merge, links
-  /// the delta into the index cache, extends the chain, bumps the
-  /// entry version, and compacts past the threshold.
+  /// computes the next relation version by galloping merge, links the
+  /// delta into the index cache, rebinds the name and bumps its
+  /// version.
   void ApplyDelta(const std::string& name, std::shared_ptr<DeltaBatch> delta);
 
   std::map<std::string, Entry> relations_;
-  uint64_t delta_compact_threshold_ = 4096;
   std::shared_ptr<IndexCache> index_cache_ = std::make_shared<IndexCache>();
 };
 

@@ -15,7 +15,9 @@ namespace adj::storage {
 /// This is how a user plugs the real WB/AS/WT/LJ/EN/OK graphs into the
 /// library instead of the synthetic stand-ins:
 ///   auto g = storage::LoadEdgeList("com-lj.ungraph.txt");
-///   db.Put("G", std::move(g.value()));
+///   storage::WriteBatch load;
+///   load.Create("G", std::move(g.value()));
+///   db.Apply(load);
 StatusOr<Relation> LoadEdgeList(const std::string& path);
 
 /// Parses edge-list text from a string (used by tests and for

@@ -213,9 +213,11 @@ class IndexCache {
   /// into the recorded payload — O(delta log n) locate work and run
   /// copies — instead of re-permuting and re-sorting all of `next`.
   /// Patch sources hold the payload artifact itself, so they survive
-  /// sweeps/evictions of `prev`'s entries and compaction of the chain;
-  /// they die when consumed, superseded by a newer write, or when
-  /// `next` itself becomes unreachable.
+  /// sweeps/evictions of `prev`'s entries — once the catalog rebinds
+  /// the name, `prev`'s entries are swept and the patch source is the
+  /// only part of the pre-write version left resident. They die when
+  /// consumed, superseded by a newer write, or when `next` itself
+  /// becomes unreachable.
   void LinkDelta(const std::shared_ptr<const Relation>& prev,
                  const std::shared_ptr<const Relation>& next,
                  std::shared_ptr<const DeltaBatch> delta);

@@ -14,11 +14,10 @@ namespace adj::storage {
 
 /// One coalesced tuple-level change set against a single relation
 /// version: rows to add and tombstones to drop, disjoint sets, each
-/// lexicographically sorted and duplicate-free. Catalog::Apply appends
-/// one DeltaBatch per written name; the chain hangs off the catalog
-/// entry (immutable base + ordered deltas) until compaction folds it
-/// into a new base. The index cache keeps a handle per delta so a
-/// cached index of the pre-write relation can be *patched* into the
+/// lexicographically sorted and duplicate-free. Catalog::Apply merges
+/// one DeltaBatch per written name into the name's next relation
+/// version and hands it to the index cache, which keeps it so a cached
+/// index of the pre-write relation can be *patched* into the
 /// post-write one instead of being rebuilt (merge-on-read).
 struct DeltaBatch {
   Relation inserts;  // sorted, unique, disjoint from deletes
@@ -62,9 +61,8 @@ size_t RowLowerBound(std::span<const Value> rows, int arity, const Value* t,
 DeltaBatch ComposeDelta(const DeltaBatch& first, const DeltaBatch& then);
 
 /// An ordered group of catalog mutations applied atomically by
-/// Catalog::Apply / api::Database::Apply — the write surface that
-/// replaced the ad-hoc Put / PutShared / Alias trio (those survive as
-/// thin wrappers over one-op batches).
+/// Catalog::Apply / api::Database::Apply — the one write surface of
+/// the catalog.
 ///
 /// Ops execute in the order they were queued; tuple ops against one
 /// relation coalesce into a single DeltaBatch per Apply (an insert
@@ -93,8 +91,7 @@ class WriteBatch {
     Delete(relation, std::vector<Value>(tuple));
   }
 
-  /// Queues a create-or-replace of `name` with an owned relation: the
-  /// new entry starts a fresh base with an empty delta chain.
+  /// Queues a create-or-replace of `name` with an owned relation.
   void Create(std::string name, Relation rel);
 
   /// Create-or-replace with an already-shared relation (no tuple data

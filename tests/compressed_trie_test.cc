@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "persist/snapshot.h"
@@ -428,9 +429,9 @@ TEST_P(CompressedStrategyTest, AllStrategiesMatchRawTrieCounts) {
 
   storage::Catalog raw_db;
   raw_db.index_cache().set_compress_tries(false);
-  raw_db.Put("G", Relation(g));
+  test::CreateRelation(&raw_db, "G", Relation(g));
   storage::Catalog comp_db;
-  comp_db.Put("G", Relation(g));
+  test::CreateRelation(&comp_db, "G", Relation(g));
 
   auto naive = wcoj::NaiveJoin(q, raw_db, 50'000'000);
   ASSERT_TRUE(naive.ok()) << naive.status();

@@ -4,6 +4,7 @@
 #include <memory>
 #include <tuple>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "dist/cluster.h"
@@ -90,7 +91,7 @@ TEST_P(HCubeCorrectnessTest, UnionOfServersEqualsSequential) {
   ASSERT_TRUE(q.ok());
   Rng rng(uint64_t(query_index * 100 + num_servers));
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(30, 150, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(30, 150, rng));
 
   // Sequential oracle.
   auto naive = wcoj::NaiveJoin(*q, db);
@@ -153,7 +154,7 @@ TEST(HCubeTest, AccountingInvariants) {
   storage::Catalog db;
   // Enough tuples that per-record overhead dominates per-block
   // overhead (the regime the paper's Fig. 9 lives in).
-  db.Put("G", dataset::ErdosRenyi(2000, 40000, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(2000, 40000, rng));
   auto q = query::MakeBenchmarkQuery(1);
   query::AttributeOrder order = {0, 1, 2};
   const std::vector<int> rank = query::RankOf(order, 3);

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "dataset/generators.h"
@@ -19,7 +20,7 @@ storage::Catalog SmallDb(uint64_t seed, uint64_t nodes = 30,
                          uint64_t edges = 150) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(nodes, edges, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(nodes, edges, rng));
   return db;
 }
 
@@ -254,9 +255,9 @@ TEST(PrecomputeTest, MaterializedBagEqualsNaiveSubJoin) {
           r1.Append({g.At(i, 0), g.At(i, 1), g.At(i + 1, 1)});
         }
         r1.SortAndDedup();
-        db5.Put(name, std::move(r1));
+        test::CreateRelation(&db5, name, std::move(r1));
       } else {
-        db5.Put(name, g);
+        test::CreateRelation(&db5, name, g);
       }
     }
   }

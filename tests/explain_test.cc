@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "dataset/generators.h"
@@ -14,7 +15,7 @@ namespace {
 TEST(ExplainTest, RendersAllPlanSections) {
   Rng rng(5);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(40, 250, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(40, 250, rng));
   auto q = query::MakeBenchmarkQuery(5);
   core::Engine engine(&db);
   core::EngineOptions opts;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "dataset/generators.h"
@@ -38,7 +39,7 @@ std::vector<int> IdentityPerm(const Relation& rel) {
 
 TEST(IndexCacheTest, HitReturnsPointerIdenticalIndex) {
   Catalog db;
-  db.Put("G", SmallGraph(1));
+  test::CreateRelation(&db, "G", SmallGraph(1));
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   auto first = db.index_cache().GetPermuted(base, IdentityPerm(*base));
@@ -63,7 +64,7 @@ TEST(IndexCacheTest, HitReturnsPointerIdenticalIndex) {
 
 TEST(IndexCacheTest, LabelingsOfOnePermutationSharePayload) {
   Catalog db;
-  db.Put("G", SmallGraph(15));
+  test::CreateRelation(&db, "G", SmallGraph(15));
   std::shared_ptr<const Relation> base = *db.GetShared("G");
   const std::vector<int> rank = wcoj::AscendingRank(3);
 
@@ -90,7 +91,7 @@ TEST(IndexCacheTest, LabelingsOfOnePermutationSharePayload) {
 
 TEST(IndexCacheTest, RebindsOfAResidentPermutationReportHits) {
   Catalog db;
-  db.Put("G", SmallGraph(17));
+  test::CreateRelation(&db, "G", SmallGraph(17));
   std::shared_ptr<const Relation> base = *db.GetShared("G");
   const std::vector<int> rank = wcoj::AscendingRank(3);
 
@@ -122,7 +123,7 @@ TEST(IndexCacheTest, RebindsOfAResidentPermutationReportHits) {
 
 TEST(IndexCacheTest, TrieLessBindSharesRowsAndSkipsTrieBuild) {
   Catalog db;
-  db.Put("G", SmallGraph(16));
+  test::CreateRelation(&db, "G", SmallGraph(16));
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   auto rel = db.index_cache().GetPermutedRelation(base, IdentityPerm(*base));
@@ -143,7 +144,7 @@ TEST(IndexCacheTest, TrieLessBindSharesRowsAndSkipsTrieBuild) {
 
 TEST(IndexCacheTest, DistinctColumnOrdersAreDistinctEntries) {
   Catalog db;
-  db.Put("G", SmallGraph(2));
+  test::CreateRelation(&db, "G", SmallGraph(2));
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   auto forward = db.index_cache().GetPermuted(base, {0, 1});
@@ -159,8 +160,8 @@ TEST(IndexCacheTest, DistinctColumnOrdersAreDistinctEntries) {
 
 TEST(IndexCacheTest, ReplacingARelationEvictsItsIndexes) {
   Catalog db;
-  db.Put("G", SmallGraph(3));
-  db.Put("H", SmallGraph(4));
+  test::CreateRelation(&db, "G", SmallGraph(3));
+  test::CreateRelation(&db, "H", SmallGraph(4));
   {
     std::shared_ptr<const Relation> g = *db.GetShared("G");
     std::shared_ptr<const Relation> h = *db.GetShared("H");
@@ -179,7 +180,7 @@ TEST(IndexCacheTest, ReplacingARelationEvictsItsIndexes) {
           .trie.get();
   const uint64_t g_version = db.VersionOf("G");
   const uint64_t h_version = db.VersionOf("H");
-  db.Put("G", SmallGraph(5));
+  test::CreateRelation(&db, "G", SmallGraph(5));
   EXPECT_GT(db.VersionOf("G"), g_version);
   EXPECT_EQ(db.VersionOf("H"), h_version);
   EXPECT_EQ(db.index_cache().size(), 2u);
@@ -194,7 +195,7 @@ TEST(IndexCacheTest, ReplacingARelationEvictsItsIndexes) {
 
 TEST(IndexCacheTest, HeldIndexesSurviveReplacementUntilReleased) {
   Catalog db;
-  db.Put("G", SmallGraph(6));
+  test::CreateRelation(&db, "G", SmallGraph(6));
   std::shared_ptr<const Relation> base = *db.GetShared("G");
   auto held = db.index_cache().GetPermuted(base, IdentityPerm(*base));
   ASSERT_TRUE(held.ok());
@@ -202,13 +203,13 @@ TEST(IndexCacheTest, HeldIndexesSurviveReplacementUntilReleased) {
   // A consumer (here: `base` + `held`, standing in for a prepared
   // ExecutionContext aliasing the relation) still references the old
   // G, so the entry must not be swept out from under it...
-  db.Put("G", SmallGraph(7));
+  test::CreateRelation(&db, "G", SmallGraph(7));
   EXPECT_EQ(db.index_cache().size(), 2u);
 
   // ...but once the last consumer lets go, the next write collects it.
   held = StatusOr<PreparedIndex>(Status::Internal("released"));
   base.reset();
-  db.Put("X", SmallGraph(8));
+  test::CreateRelation(&db, "X", SmallGraph(8));
   EXPECT_EQ(db.index_cache().size(), 0u);
 }
 
@@ -218,7 +219,7 @@ TEST(IndexCacheTest, HeldIndexesSurviveReplacementUntilReleased) {
 // single-server entry, whose fragment is that trie itself.
 TEST(IndexCacheTest, ShardEntriesAreSweptWithTheirRelation) {
   Catalog db;
-  db.Put("G", SmallGraph(18, 40, 250));
+  test::CreateRelation(&db, "G", SmallGraph(18, 40, 250));
   core::Engine engine(&db);
   query::Query q = *query::Query::Parse("G(a,b) G(b,c) G(a,c)");
   for (int servers : {1, 4}) {
@@ -234,54 +235,52 @@ TEST(IndexCacheTest, ShardEntriesAreSweptWithTheirRelation) {
   // Rows and trie of the one permutation, plus the shard entries.
   EXPECT_GT(db.index_cache().size(), 2u);
 
-  db.Put("G", SmallGraph(19));
+  test::CreateRelation(&db, "G", SmallGraph(19));
   EXPECT_EQ(db.index_cache().size(), 0u);
   EXPECT_EQ(db.index_cache().resident_bytes(), 0u);
 }
 
-// A tuple write keeps the old version's trie alive as a patch source
-// for merge-on-read, but the shard entries hanging off that trie are
-// garbage: the sweep counts patch sources as the cache's own.
+// A tuple write keeps the pre-write version's payload and trie only as
+// the write's patch source for merge-on-read. The catalog no longer
+// holds the pre-write relation, so the sweep drops its rows, trie and
+// shard entries (patch sources count as the cache's own), and after a
+// rerun the cache holds exactly one version's artifacts.
 TEST(IndexCacheTest, PatchSourcesDoNotKeepShardEntriesAlive) {
   Catalog db;
-  db.Put("G", SmallGraph(20, 40, 250));
+  test::CreateRelation(&db, "G", SmallGraph(20, 40, 250));
   core::Engine engine(&db);
   query::Query q = *query::Query::Parse("G(a,b) G(b,c) G(a,c)");
   core::EngineOptions options;
   options.num_samples = 64;
   StatusOr<exec::RunReport> first = engine.Run(q, "HCubeJ", options);
   ASSERT_TRUE(first.ok()) << first.status();
+  const size_t one_version = db.index_cache().size();
+  ASSERT_GT(one_version, 2u);  // rows, trie and the shard entries
 
-  // The entry's base stays in the catalog under its delta chain, and
-  // with it the base's indexes and shards.
-  WriteBatch batch;
-  batch.Insert("G", {1000, 1001});
-  ASSERT_TRUE(db.Apply(batch).ok());
-  const size_t base_entries = db.index_cache().size();
+  for (Value v : {1000, 1002}) {
+    const std::weak_ptr<const Relation> before = *db.GetShared("G");
+    WriteBatch batch;
+    batch.Insert("G", {v, v + 1});
+    ASSERT_TRUE(db.Apply(batch).ok());
+    // Nothing of the pre-write version is resident but the patch
+    // source: the relation is freed and its entries are swept.
+    EXPECT_TRUE(before.expired()) << "write " << v;
+    EXPECT_EQ(db.index_cache().size(), 0u) << "write " << v;
+    EXPECT_EQ(db.index_cache().resident_bytes(), 0u) << "write " << v;
 
-  // The written version binds by patching and shuffles into shard
-  // entries of its own...
-  StatusOr<exec::RunReport> patched = engine.Run(q, "HCubeJ", options);
-  ASSERT_TRUE(patched.ok()) << patched.status();
-  EXPECT_GT(patched->index_patched, 0u);
-  EXPECT_EQ(patched->output_count, first->output_count);
-  ASSERT_GT(db.index_cache().size(), base_entries);
-
-  // ...which the next write sweeps, although its trie lives on as that
-  // write's patch source.
-  WriteBatch again;
-  again.Insert("G", {1002, 1003});
-  ASSERT_TRUE(db.Apply(again).ok());
-  EXPECT_EQ(db.index_cache().size(), base_entries);
-  StatusOr<exec::RunReport> repatched = engine.Run(q, "HCubeJ", options);
-  ASSERT_TRUE(repatched.ok()) << repatched.status();
-  EXPECT_GT(repatched->index_patched, 0u);
-  EXPECT_EQ(repatched->output_count, first->output_count);
+    // The written version binds by patching that source and shuffles
+    // into shard entries of its own: one version's worth again.
+    StatusOr<exec::RunReport> patched = engine.Run(q, "HCubeJ", options);
+    ASSERT_TRUE(patched.ok()) << patched.status();
+    EXPECT_GT(patched->index_patched, 0u) << "write " << v;
+    EXPECT_EQ(patched->output_count, first->output_count);
+    EXPECT_EQ(db.index_cache().size(), one_version) << "write " << v;
+  }
 }
 
 TEST(IndexCacheTest, ConcurrentLookupsBuildOnce) {
   Catalog db;
-  db.Put("G", SmallGraph(9, 60, 400));
+  test::CreateRelation(&db, "G", SmallGraph(9, 60, 400));
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   constexpr int kThreads = 8;
@@ -325,7 +324,7 @@ TEST(IndexCacheTest, ConcurrentLookupsBuildOnce) {
 
 TEST(IndexCacheTest, FailedBuildIsNotCachedAndRetries) {
   Catalog db;
-  db.Put("G", SmallGraph(10));
+  test::CreateRelation(&db, "G", SmallGraph(10));
   std::shared_ptr<const Relation> base = *db.GetShared("G");
 
   int calls = 0;
@@ -352,8 +351,8 @@ TEST(IndexCacheTest, FailedBuildIsNotCachedAndRetries) {
 
 TEST(IndexCacheTest, ByteBudgetEvictsUnreferencedLru) {
   Catalog db;
-  db.Put("A", SmallGraph(11, 40, 300));
-  db.Put("B", SmallGraph(12, 40, 300));
+  test::CreateRelation(&db, "A", SmallGraph(11, 40, 300));
+  test::CreateRelation(&db, "B", SmallGraph(12, 40, 300));
   std::shared_ptr<const Relation> a = *db.GetShared("A");
   std::shared_ptr<const Relation> b = *db.GetShared("B");
 
@@ -423,7 +422,7 @@ TEST(IndexReuseTest, PreparedSecondRunBuildsZeroIndexes) {
 TEST(IndexReuseTest, RepeatedDirectRunsReuseIndexes) {
   Rng rng(14);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(40, 250, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(40, 250, rng));
   core::Engine engine(&db);
   query::Query q = *query::Query::Parse("G(a,b) G(b,c)");
   core::EngineOptions options;

@@ -2,6 +2,7 @@
 
 #include <tuple>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "dataset/builtin.h"
@@ -16,7 +17,7 @@ storage::Catalog SmallDb(uint64_t seed, uint64_t nodes = 30,
                          uint64_t edges = 150) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(nodes, edges, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(nodes, edges, rng));
   return db;
 }
 
@@ -172,7 +173,7 @@ TEST(EngineTest, BuiltinDatasetSmokeRun) {
   auto g = dataset::MakeBuiltin("WB", 0.05);
   ASSERT_TRUE(g.ok());
   storage::Catalog db;
-  db.Put("G", std::move(g.value()));
+  test::CreateRelation(&db, "G", std::move(g.value()));
   auto q = query::MakeBenchmarkQuery(1);
   Engine engine(&db);
   auto adj = engine.Run(*q, Strategy::kCoOpt, FastOptions());

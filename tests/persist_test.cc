@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "persist/snapshot.h"
@@ -52,12 +53,12 @@ storage::Catalog MakeCatalog() {
   edges.Append({2, 9});
   edges.Append({2, 3});
   edges.Append({7, 7});
-  db.Put("E", std::move(edges));
-  EXPECT_TRUE(db.Alias("E2", "E").ok());
+  test::CreateRelation(&db, "E", std::move(edges));
+  EXPECT_TRUE(test::AliasRelation(&db, "E2", "E").ok());
   storage::Relation triple((storage::Schema({0, 1, 2})));
   triple.Append({1, 2, 3});
   triple.Append({1, 2, 4});
-  db.Put("T", std::move(triple));
+  test::CreateRelation(&db, "T", std::move(triple));
   return db;
 }
 
@@ -239,21 +240,17 @@ uint64_t GetLittleEndian64(const uint8_t* p) {
   return v;
 }
 
-TEST(SnapshotRoundTrip, StoresEachArtifactOnce) {
-  const std::string path = TempPath("single_copy.adjsnap");
-  uint64_t in_memory_count = 0;
-  api::Database db = MakeWarmDatabase(&in_memory_count);
-  StatusOr<persist::WriteStats> stats =
-      persist::SnapshotWriter::Write(db.catalog(), path);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_GT(stats->tries, 0u);
-  EXPECT_GT(stats->compressed_levels, 0u);  // IndexCache compresses
-
-  // The file is framing plus one copy of each artifact: beyond
-  // raw_bytes there is only the header, footer, TOC, manifest, and at
-  // most 63 bytes of alignment padding in front of each segment.
+/// Checks that the snapshot `stats` describe (written from `catalog`
+/// to `path`) is framing plus one copy of each artifact: beyond
+/// raw_bytes only the header, footer, TOC, manifest, and at most 63
+/// bytes of alignment padding in front of each segment — and raw_bytes
+/// is one resident copy of what the catalog holds now: every name's
+/// current relation and every index payload of those relations.
+void ExpectOneCopyOfEachArtifact(const storage::Catalog& catalog,
+                                 const std::string& path,
+                                 const persist::WriteStats& stats) {
   const std::vector<uint8_t> bytes = ReadFile(path);
-  ASSERT_EQ(bytes.size(), stats->file_bytes);
+  ASSERT_EQ(bytes.size(), stats.file_bytes);
   StatusOr<persist::SnapshotReader> reader =
       persist::SnapshotReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
@@ -266,20 +263,17 @@ TEST(SnapshotRoundTrip, StoresEachArtifactOnce) {
       data_bytes += seg.size;
     }
   }
-  EXPECT_EQ(data_bytes, stats->raw_bytes);
-  // ... and raw_bytes is one resident copy of what the catalog holds:
-  // every physical relation, every payload's rows, every trie.
+  EXPECT_EQ(data_bytes, stats.raw_bytes);
   std::set<const storage::Relation*> relations;
   uint64_t resident = 0;
-  for (const std::string& name : db.catalog().Names()) {
-    StatusOr<storage::Catalog::EntryState> state =
-        db.catalog().Inspect(name);
-    ASSERT_TRUE(state.ok());
-    for (const auto& rel : {state->base, state->effective}) {
-      if (relations.insert(rel.get()).second) resident += rel->SizeBytes();
-    }
+  for (const std::string& name : catalog.Names()) {
+    StatusOr<std::shared_ptr<const storage::Relation>> rel =
+        catalog.GetShared(name);
+    ASSERT_TRUE(rel.ok());
+    if (relations.insert(rel->get()).second) resident += (*rel)->SizeBytes();
   }
-  for (const auto& p : db.catalog().index_cache().ExportPermutedIndexes()) {
+  EXPECT_EQ(stats.relations, relations.size());
+  for (const auto& p : catalog.index_cache().ExportPermutedIndexes()) {
     if (!relations.contains(static_cast<const storage::Relation*>(
             p.identity))) {
       continue;  // derived state (bags, shards) is not persisted
@@ -287,14 +281,26 @@ TEST(SnapshotRoundTrip, StoresEachArtifactOnce) {
     resident += p.rows->SizeBytes();
     if (p.trie != nullptr) resident += p.trie->ResidentBytes();
   }
-  EXPECT_EQ(stats->raw_bytes, resident);
+  EXPECT_EQ(stats.raw_bytes, resident);
   const uint64_t toc_bytes =
       GetLittleEndian64(bytes.data() + bytes.size() - persist::kFooterSize + 8);
   const uint64_t framing = persist::kHeaderSize + persist::kFooterSize +
                            toc_bytes + manifest_bytes +
                            (persist::kSegmentAlign - 1) *
                                reader->segments().size();
-  EXPECT_LE(stats->file_bytes - stats->raw_bytes, framing);
+  EXPECT_LE(stats.file_bytes - stats.raw_bytes, framing);
+}
+
+TEST(SnapshotRoundTrip, StoresEachArtifactOnce) {
+  const std::string path = TempPath("single_copy.adjsnap");
+  uint64_t in_memory_count = 0;
+  api::Database db = MakeWarmDatabase(&in_memory_count);
+  StatusOr<persist::WriteStats> stats =
+      persist::SnapshotWriter::Write(db.catalog(), path);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_GT(stats->tries, 0u);
+  EXPECT_GT(stats->compressed_levels, 0u);  // IndexCache compresses
+  ExpectOneCopyOfEachArtifact(db.catalog(), path, *stats);
 
   api::Database restarted;
   ASSERT_TRUE(restarted.Open(path).ok());
@@ -304,6 +310,77 @@ TEST(SnapshotRoundTrip, StoresEachArtifactOnce) {
   api::Result r = session.Run("G(a,b) G(b,c) G(a,c)");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r.count(), in_memory_count);
+  std::remove(path.c_str());
+}
+
+/// Count of `text` over a fresh catalog holding a copy of `rel` under
+/// "G": no writes, no caches, the naive evaluator.
+uint64_t OracleCount(const storage::Relation& rel, const std::string& text) {
+  storage::Catalog fresh;
+  test::CreateRelation(&fresh, "G", rel);
+  StatusOr<query::Query> q = query::Query::Parse(text);
+  EXPECT_TRUE(q.ok()) << q.status();
+  StatusOr<storage::Relation> joined = wcoj::NaiveJoin(*q, fresh);
+  EXPECT_TRUE(joined.ok()) << joined.status();
+  return joined.ok() ? joined->size() : 0;
+}
+
+TEST(SnapshotRoundTrip, WrittenCatalogStoresCurrentVersionOnce) {
+  // A written-to catalog saves each name's current relation once: the
+  // pre-write versions are gone from the catalog, so neither they nor
+  // their indexes reach the file, and Save after the writes is no
+  // bigger than one copy of what the catalog now holds.
+  const std::string path = TempPath("written.adjsnap");
+  const std::vector<std::string> texts = {"G(a,b) G(b,c)",
+                                          "G(a,b) G(b,c) G(a,c)"};
+  api::Database db = MakeWarmDatabase(nullptr);
+  std::vector<uint64_t> versions = {db.relation_version("G")};
+  for (int round = 0; round < 3; ++round) {
+    const Value v = 1'000'000 + Value(2 * round);
+    storage::WriteBatch batch;
+    batch.Insert("G", {v, v + 1});
+    batch.Insert("G", {v + 1, v + 2});
+    if (round == 2) batch.Delete("G", {1'000'000, 1'000'001});
+    ASSERT_TRUE(db.Apply(batch).ok());
+    versions.push_back(db.relation_version("G"));
+    ASSERT_GT(versions.back(), versions[versions.size() - 2]);
+    // Rerun so the written version's indexes are resident when saved.
+    api::Session session = db.OpenSession();
+    session.options().cluster.num_servers = 1;
+    session.options().num_samples = 64;
+    api::Result r = session.Run(texts.back());
+    ASSERT_TRUE(r.ok()) << r.status();
+  }
+  StatusOr<persist::WriteStats> stats =
+      persist::SnapshotWriter::Write(db.catalog(), path);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->relations, 1u);
+  EXPECT_EQ(stats->names, 1u);
+  EXPECT_GT(stats->payloads, 0u);
+  ExpectOneCopyOfEachArtifact(db.catalog(), path, *stats);
+
+  const storage::Relation& live = **db.catalog().Get("G");
+  api::Database restarted;
+  ASSERT_TRUE(restarted.Open(path).ok());
+  const storage::Relation& back = **restarted.catalog().Get("G");
+  EXPECT_TRUE(back.is_alias());  // views the mapped file
+  EXPECT_TRUE(std::ranges::equal(back.raw(), live.raw()));
+  // Versions stay monotone across the reload and the next write.
+  EXPECT_GT(restarted.relation_version("G"), versions.back());
+  const uint64_t reopened_version = restarted.relation_version("G");
+  storage::WriteBatch more;
+  more.Insert("G", {2'000'000, 2'000'001});
+  ASSERT_TRUE(restarted.Apply(more).ok());
+  EXPECT_GT(restarted.relation_version("G"), reopened_version);
+
+  api::Session session = restarted.OpenSession();
+  session.options().num_samples = 64;
+  for (const std::string& text : texts) {
+    api::Result r = session.Run(text);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r.count(), OracleCount(**restarted.catalog().Get("G"), text))
+        << text;
+  }
   std::remove(path.c_str());
 }
 
@@ -454,9 +531,9 @@ TEST_F(SnapshotCorruptionTest, WrongMagic) {
 }
 
 TEST_F(SnapshotCorruptionTest, WrongVersion) {
-  // A future version, v4 — the previous layout, with per-labeling
-  // binding records — and v3, with relation and payload mirrors, are
-  // all rejected by the v5-only reader.
+  // A future version, v4 — with per-labeling binding records — and v3,
+  // with relation and payload mirrors, are all rejected by the
+  // v6-only reader.
   for (uint8_t version : {uint8_t{0x7F}, uint8_t{4}, uint8_t{3}}) {
     std::vector<uint8_t> mutated = bytes_;
     mutated[8] = version;  // version field (little-endian low byte)
@@ -467,6 +544,23 @@ TEST_F(SnapshotCorruptionTest, WrongVersion) {
     EXPECT_NE(reader.status().ToString().find("version"), std::string::npos);
     ExpectRejected("version " + std::to_string(version));
   }
+}
+
+TEST_F(SnapshotCorruptionTest, PreviousVersionWithDeltaChainsIsRejected) {
+  // v5 stored a base relation and an inline delta chain per name; its
+  // manifest does not parse as v6, so the header check must refuse it
+  // with a Status before any manifest byte is read.
+  ASSERT_EQ(persist::kVersion, 6u);
+  std::vector<uint8_t> mutated = bytes_;
+  mutated[8] = 5;  // version field (little-endian low byte)
+  WriteFile(path_, mutated);
+  StatusOr<persist::SnapshotReader> reader =
+      persist::SnapshotReader::Open(path_);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().ToString().find("format version 5"),
+            std::string::npos)
+      << reader.status();
+  ExpectRejected("version 5");
 }
 
 TEST_F(SnapshotCorruptionTest, ForeignEndianness) {
@@ -545,7 +639,7 @@ RandomCase MakeRandomCase(uint64_t seed) {
       rel.Append(row);
     }
     rel.SortAndDedup();
-    out.db.Put(name, std::move(rel));
+    test::CreateRelation(&out.db, name, std::move(rel));
     atoms.push_back(query::Atom{name, storage::Schema(attrs)});
   }
   std::vector<std::string> used_names;

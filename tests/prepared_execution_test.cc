@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/spj.h"
@@ -24,7 +25,7 @@ storage::Catalog SmallCatalog(uint64_t seed, uint64_t nodes = 30,
                               uint64_t edges = 150) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(nodes, edges, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(nodes, edges, rng));
   return db;
 }
 
@@ -149,8 +150,8 @@ TEST(PrepareExecutionTest, ContextOutlivesSourceCatalog) {
 TEST(PushDownSelectionsTest, AliasesUntouchedAtoms) {
   Rng rng(5);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(40, 250, rng));
-  db.Put("H", dataset::ErdosRenyi(40, 250, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(40, 250, rng));
+  test::CreateRelation(&db, "H", dataset::ErdosRenyi(40, 250, rng));
 
   // The selection touches only G: H must be aliased, not copied.
   StatusOr<SpjQuery> selected = ParseSpj("G(a,b) H(b,c) | a=1");

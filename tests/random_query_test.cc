@@ -5,6 +5,7 @@
 // distributed, semi-join, or binary-join paths shows up here.
 #include <gtest/gtest.h>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "exec/yannakakis.h"
@@ -70,7 +71,7 @@ RandomCase MakeRandomCase(uint64_t seed) {
       rel.Append(row);
     }
     rel.SortAndDedup();
-    out.db.Put(name, std::move(rel));
+    test::CreateRelation(&out.db, name, std::move(rel));
     atoms.push_back(query::Atom{name, storage::Schema(attrs)});
   }
   // Atoms covering fewer than all attrs are fine as long as every

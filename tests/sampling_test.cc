@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "query/queries.h"
@@ -24,7 +25,7 @@ TEST(ChernoffTest, SampleCountFormula) {
 
 TEST(SamplerTest, ExactOnCompleteGraphTriangles) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(8));
+  test::CreateRelation(&db, "G", dataset::CompleteGraph(8));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   SamplerOptions opts;
   opts.num_samples = 64;
@@ -39,7 +40,7 @@ TEST(SamplerTest, ExactOnCompleteGraphTriangles) {
 TEST(SamplerTest, ConvergesWithMoreSamples) {
   Rng rng(11);
   storage::Catalog db;
-  db.Put("G", dataset::ZipfGraph(200, 3000, 0.8, rng));
+  test::CreateRelation(&db, "G", dataset::ZipfGraph(200, 3000, 0.8, rng));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   auto naive = wcoj::NaiveJoin(*q, db);
   ASSERT_TRUE(naive.ok());
@@ -66,7 +67,7 @@ TEST(SamplerTest, ConvergesWithMoreSamples) {
 TEST(SamplerTest, PerLevelEstimatesScaleWithSamples) {
   Rng rng(13);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(100, 800, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(100, 800, rng));
   auto q = Query::Parse("G(a,b) G(b,c)");
   SamplerOptions opts;
   opts.num_samples = 512;
@@ -83,7 +84,7 @@ TEST(SamplerTest, PerLevelEstimatesScaleWithSamples) {
 TEST(SamplerTest, DistributedAccountingPresent) {
   Rng rng(17);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(100, 800, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(100, 800, rng));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   SamplerOptions opts;
   opts.num_samples = 32;
@@ -105,7 +106,7 @@ TEST(SamplerTest, SemijoinReductionShrinksComm) {
   // With few samples, relations containing A shrink a lot.
   Rng rng(19);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(500, 4000, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(500, 4000, rng));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   SamplerOptions small_opts;
   small_opts.num_samples = 4;
@@ -123,7 +124,7 @@ TEST(SamplerTest, EmptyJoinEstimatesZero) {
   storage::Catalog db;
   storage::Relation g(storage::Schema({0, 1}));
   g.Append({1, 2});  // no triangle possible
-  db.Put("G", std::move(g));
+  test::CreateRelation(&db, "G", std::move(g));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   SamplerOptions opts;
   opts.num_samples = 16;
@@ -135,7 +136,7 @@ TEST(SamplerTest, EmptyJoinEstimatesZero) {
 TEST(SamplerTest, BetaMeasured) {
   Rng rng(23);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(200, 2000, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(200, 2000, rng));
   auto q = Query::Parse("G(a,b) G(b,c)");
   SamplerOptions opts;
   opts.num_samples = 512;
@@ -147,7 +148,7 @@ TEST(SamplerTest, BetaMeasured) {
 TEST(SketchTest, SingleAtomIsExact) {
   Rng rng(29);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(50, 300, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(50, 300, rng));
   auto q = Query::Parse("G(a,b) G(b,c)");
   auto sketch = SketchEstimator::Build(*q, db);
   ASSERT_TRUE(sketch.ok());
@@ -157,7 +158,7 @@ TEST(SketchTest, SingleAtomIsExact) {
 
 TEST(SketchTest, TwoWayJoinUsesContainment) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(10));
+  test::CreateRelation(&db, "G", dataset::CompleteGraph(10));
   auto q = Query::Parse("G(a,b) G(b,c)");
   auto sketch = SketchEstimator::Build(*q, db);
   ASSERT_TRUE(sketch.ok());
@@ -171,7 +172,7 @@ TEST(SketchTest, SamplingBeatsSketchOnCyclicJoin) {
   // than sampling error.
   Rng rng(31);
   storage::Catalog db;
-  db.Put("G", dataset::ZipfGraph(150, 2500, 0.9, rng));
+  test::CreateRelation(&db, "G", dataset::ZipfGraph(150, 2500, 0.9, rng));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   auto naive = wcoj::NaiveJoin(*q, db);
   ASSERT_TRUE(naive.ok());
@@ -196,7 +197,7 @@ TEST(SketchTest, SamplingBeatsSketchOnCyclicJoin) {
 
 TEST(SketchTest, EstimateBindingsSelectsContainedAtoms) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(6));
+  test::CreateRelation(&db, "G", dataset::CompleteGraph(6));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   auto sketch = SketchEstimator::Build(*q, db);
   ASSERT_TRUE(sketch.ok());

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "core/spj.h"
 #include "dataset/generators.h"
@@ -13,7 +14,7 @@ namespace {
 storage::Catalog SmallDb(uint64_t seed) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(25, 120, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(25, 120, rng));
   return db;
 }
 

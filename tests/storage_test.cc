@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "storage/catalog.h"
 #include "storage/relation.h"
@@ -133,11 +134,11 @@ TEST(RelationTest, RandomSortDedupMatchesStdSet) {
   }
 }
 
-TEST(CatalogTest, PutGetContains) {
+TEST(CatalogTest, CreateGetContains) {
   Catalog db;
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
-  db.Put("G", std::move(r));
+  test::CreateRelation(&db, "G", std::move(r));
   EXPECT_TRUE(db.Contains("G"));
   EXPECT_FALSE(db.Contains("H"));
   auto got = db.Get("G");
@@ -151,11 +152,11 @@ TEST(CatalogTest, ReplaceAndTotals) {
   Relation a(Schema({0, 1}));
   a.Append({1, 2});
   a.Append({3, 4});
-  db.Put("R", std::move(a));
+  test::CreateRelation(&db, "R", std::move(a));
   EXPECT_EQ(db.TotalTuples(), 2u);
   Relation b(Schema({0}));
   b.Append({9});
-  db.Put("R", std::move(b));
+  test::CreateRelation(&db, "R", std::move(b));
   EXPECT_EQ(db.TotalTuples(), 1u);
   EXPECT_EQ(db.Names(), std::vector<std::string>{"R"});
 }
@@ -164,18 +165,18 @@ TEST(CatalogTest, AliasSharesPhysicalStorage) {
   Catalog db;
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
-  db.Put("G", std::move(r));
-  ASSERT_TRUE(db.Alias("G2", "G").ok());
-  ASSERT_TRUE(db.Alias("G3", "G2").ok());
+  test::CreateRelation(&db, "G", std::move(r));
+  ASSERT_TRUE(test::AliasRelation(&db, "G2", "G").ok());
+  ASSERT_TRUE(test::AliasRelation(&db, "G3", "G2").ok());
   EXPECT_TRUE(db.Contains("G2"));
   // All three names resolve to the same physical relation — no copy.
   EXPECT_EQ(*db.Get("G2"), *db.Get("G"));
   EXPECT_EQ(*db.Get("G3"), *db.Get("G"));
   EXPECT_EQ(db.Names(), (std::vector<std::string>{"G", "G2", "G3"}));
   // Self-alias is a harmless no-op; aliasing a missing name fails.
-  EXPECT_TRUE(db.Alias("G", "G").ok());
+  EXPECT_TRUE(test::AliasRelation(&db, "G", "G").ok());
   EXPECT_EQ(*db.Get("G"), *db.Get("G2"));
-  EXPECT_FALSE(db.Alias("X", "missing").ok());
+  EXPECT_FALSE(test::AliasRelation(&db, "X", "missing").ok());
   EXPECT_FALSE(db.Contains("X"));
 }
 
@@ -184,30 +185,30 @@ TEST(CatalogTest, TotalsCountAliasedRelationsOnce) {
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
   r.Append({3, 4});
-  db.Put("G", std::move(r));
-  ASSERT_TRUE(db.Alias("G2", "G").ok());
+  test::CreateRelation(&db, "G", std::move(r));
+  ASSERT_TRUE(test::AliasRelation(&db, "G2", "G").ok());
   EXPECT_EQ(db.TotalTuples(), 2u);
   EXPECT_EQ(db.TotalBytes(), 4 * sizeof(Value));
   // A distinct physical relation still adds to the totals.
   Relation other(Schema({0}));
   other.Append({7});
-  db.Put("H", std::move(other));
+  test::CreateRelation(&db, "H", std::move(other));
   EXPECT_EQ(db.TotalTuples(), 3u);
 }
 
-TEST(CatalogTest, PutReplacementRebindsOnlyThatName) {
+TEST(CatalogTest, ReplacementRebindsOnlyThatName) {
   Catalog db;
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
-  db.Put("G", std::move(r));
-  ASSERT_TRUE(db.Alias("G2", "G").ok());
+  test::CreateRelation(&db, "G", std::move(r));
+  ASSERT_TRUE(test::AliasRelation(&db, "G2", "G").ok());
   const Relation* original = *db.Get("G2");
   // Replacing "G" must not disturb the alias, which co-owns the old
   // physical relation.
   Relation fresh(Schema({0, 1}));
   fresh.Append({5, 6});
   fresh.Append({7, 8});
-  db.Put("G", std::move(fresh));
+  test::CreateRelation(&db, "G", std::move(fresh));
   EXPECT_EQ(*db.Get("G2"), original);
   EXPECT_EQ((*db.Get("G2"))->At(0, 0), 1u);
   EXPECT_EQ((*db.Get("G"))->size(), 2u);
@@ -215,18 +216,19 @@ TEST(CatalogTest, PutReplacementRebindsOnlyThatName) {
   EXPECT_EQ(db.TotalTuples(), 3u);  // two distinct physical relations
 }
 
-TEST(CatalogTest, PutSharedBorrowsAcrossCatalogs) {
+TEST(CatalogTest, SharedCreateBorrowsAcrossCatalogs) {
   Catalog exec_db;
   const Relation* borrowed = nullptr;
   {
     Catalog source;
     Relation r(Schema({0, 1}));
     r.Append({1, 2});
-    source.Put("G", std::move(r));
+    test::CreateRelation(&source, "G", std::move(r));
     auto shared = source.GetShared("G");
     ASSERT_TRUE(shared.ok());
     borrowed = shared->get();
-    ASSERT_TRUE(exec_db.PutShared("G", std::move(shared.value())).ok());
+    ASSERT_TRUE(
+        test::ShareRelation(&exec_db, "G", std::move(shared.value())).ok());
     EXPECT_EQ(*exec_db.Get("G"), *source.Get("G"));
     EXPECT_FALSE(source.GetShared("missing").ok());
   }
@@ -236,7 +238,7 @@ TEST(CatalogTest, PutSharedBorrowsAcrossCatalogs) {
   EXPECT_EQ(*exec_db.Get("G"), borrowed);
   EXPECT_EQ((*exec_db.Get("G"))->At(0, 1), 2u);
   EXPECT_EQ(exec_db.TotalTuples(), 1u);
-  EXPECT_FALSE(exec_db.PutShared("null", nullptr).ok());
+  EXPECT_FALSE(test::ShareRelation(&exec_db, "null", nullptr).ok());
   EXPECT_FALSE(exec_db.Contains("null"));
 }
 
@@ -246,21 +248,22 @@ TEST(CatalogTest, VersionBumpsOnEveryMappingMutation) {
 
   Relation r(Schema({0, 1}));
   r.Append({1, 2});
-  db.Put("G", std::move(r));
+  test::CreateRelation(&db, "G", std::move(r));
   EXPECT_EQ(db.VersionOf("G"), 1u);
 
-  // Every successful mapping mutation bumps the name it binds: Alias,
-  // PutShared, and a replacing Put all invalidate plans built against
-  // the old mapping — and leave other names' versions alone.
-  ASSERT_TRUE(db.Alias("G2", "G").ok());
+  // Every successful mapping mutation bumps the name it binds: an
+  // alias, a shared create and a replacing create all invalidate plans
+  // built against the old mapping — and leave other names' versions
+  // alone.
+  ASSERT_TRUE(test::AliasRelation(&db, "G2", "G").ok());
   EXPECT_EQ(db.VersionOf("G2"), 1u);
   auto shared = db.GetShared("G");
   ASSERT_TRUE(shared.ok());
-  ASSERT_TRUE(db.PutShared("G3", std::move(shared.value())).ok());
+  ASSERT_TRUE(test::ShareRelation(&db, "G3", std::move(shared.value())).ok());
   EXPECT_EQ(db.VersionOf("G3"), 1u);
   Relation replacement(Schema({0, 1}));
   replacement.Append({7, 8});
-  db.Put("G", std::move(replacement));
+  test::CreateRelation(&db, "G", std::move(replacement));
   EXPECT_EQ(db.VersionOf("G"), 2u);
   EXPECT_EQ(db.VersionOf("G2"), 1u);
   EXPECT_EQ(db.VersionOf("G3"), 1u);
@@ -268,8 +271,8 @@ TEST(CatalogTest, VersionBumpsOnEveryMappingMutation) {
   // Reads and failed mutations leave every version untouched.
   (void)db.Get("G");
   (void)db.Names();
-  EXPECT_FALSE(db.Alias("X", "missing").ok());
-  EXPECT_FALSE(db.PutShared("null", nullptr).ok());
+  EXPECT_FALSE(test::AliasRelation(&db, "X", "missing").ok());
+  EXPECT_FALSE(test::ShareRelation(&db, "null", nullptr).ok());
   EXPECT_EQ(db.VersionOf("G"), 2u);
   EXPECT_EQ(db.VersionOf("X"), 0u);
   EXPECT_EQ(db.VersionOf("null"), 0u);

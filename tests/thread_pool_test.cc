@@ -6,6 +6,7 @@
 #include <numeric>
 #include <thread>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "dist/thread_pool.h"
@@ -198,7 +199,7 @@ TEST(RunTasksTest, ParallelSumsMatch) {
 TEST(ThreadedHCubeJTest, SameCountsAsSequential) {
   Rng rng(77);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(40, 250, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(40, 250, rng));
   for (int qi : {1, 2, 5}) {
     auto q = query::MakeBenchmarkQuery(qi);
     query::AttributeOrder order;
@@ -226,7 +227,7 @@ TEST(ThreadedHCubeJTest, CollectedOutputIdenticalToSequential) {
   // very rows, in the very order, of the sequential run.
   Rng rng(79);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(30, 180, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(30, 180, rng));
   for (int qi : {1, 2}) {
     for (bool use_cache : {false, true}) {
       auto q = query::MakeBenchmarkQuery(qi);

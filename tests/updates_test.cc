@@ -1,14 +1,13 @@
 // Delta-aware update coverage: WriteBatch/Apply semantics (atomicity,
-// per-name versions, compaction, tombstones of delta rows), the
-// MergeDeltaRows / ComposeDelta kernels against set oracles, snapshot
-// round-trips of written-to catalogs, and the randomized mixed
+// per-name versions, tombstones of written rows), the MergeDeltaRows /
+// ComposeDelta kernels against set oracles, and the randomized mixed
 // read/write property suite — interleaved batches and prepared runs
 // across all five strategies must match a rebuild-from-scratch oracle
 // after every write. Runs under the ASan/UBSan leg like every test.
+// (Snapshot round-trips of written-to catalogs live in persist_test.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <span>
 #include <string>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "core/spj.h"
 #include "dataset/generators.h"
@@ -55,7 +55,7 @@ std::set<Edge> ToEdges(const Relation& rel) {
 /// built from scratch (no deltas, no caches) plus the naive evaluator.
 uint64_t RebuildOracle(const std::set<Edge>& edges, const std::string& text) {
   Catalog db;
-  db.Put("G", FromEdges(edges));
+  test::CreateRelation(&db, "G", FromEdges(edges));
   StatusOr<core::SpjQuery> spj = core::ParseSpj(text);
   EXPECT_TRUE(spj.ok()) << spj.status();
   StatusOr<Relation> joined = wcoj::NaiveJoin(spj->join, db);
@@ -68,7 +68,7 @@ uint64_t RebuildOracle(const std::set<Edge>& edges, const std::string& text) {
 
 TEST(WriteBatchTest, ApplyIsAtomic) {
   Catalog db;
-  db.Put("G", FromEdges({{1, 2}, {2, 3}}));
+  test::CreateRelation(&db, "G", FromEdges({{1, 2}, {2, 3}}));
   const uint64_t version = db.VersionOf("G");
 
   // Valid prefix + invalid tail: nothing may stick.
@@ -88,8 +88,8 @@ TEST(WriteBatchTest, ApplyIsAtomic) {
 
 TEST(WriteBatchTest, VersionsBumpOnlyWrittenNames) {
   Catalog db;
-  db.Put("G", FromEdges({{1, 2}}));
-  db.Put("H", FromEdges({{3, 4}}));
+  test::CreateRelation(&db, "G", FromEdges({{1, 2}}));
+  test::CreateRelation(&db, "H", FromEdges({{3, 4}}));
   const uint64_t g_version = db.VersionOf("G");
   const uint64_t h_version = db.VersionOf("H");
 
@@ -103,7 +103,7 @@ TEST(WriteBatchTest, VersionsBumpOnlyWrittenNames) {
 
 TEST(WriteBatchTest, ContentNoOpWriteKeepsVersion) {
   Catalog db;
-  db.Put("G", FromEdges({{1, 2}, {2, 3}}));
+  test::CreateRelation(&db, "G", FromEdges({{1, 2}, {2, 3}}));
   const uint64_t version = db.VersionOf("G");
 
   // Inserting a present tuple and deleting an absent one change no
@@ -117,40 +117,12 @@ TEST(WriteBatchTest, ContentNoOpWriteKeepsVersion) {
   EXPECT_EQ(ToEdges(**db.Get("G")), (std::set<Edge>{{1, 2}, {2, 3}}));
 }
 
-TEST(WriteBatchTest, DeltaChainCompactsAtThreshold) {
-  Catalog db;
-  db.set_delta_compact_threshold(4);
-  db.Put("G", FromEdges({{1, 1}}));
-
-  // Below the threshold the chain is pending; crossing it folds the
-  // chain into a new base.
-  WriteBatch first;
-  first.Insert("G", {2, 2});
-  first.Insert("G", {3, 3});
-  ASSERT_TRUE(db.Apply(first).ok());
-  StatusOr<Catalog::EntryState> mid = db.Inspect("G");
-  ASSERT_TRUE(mid.ok());
-  EXPECT_EQ(mid->deltas.size(), 1u);
-  EXPECT_NE(mid->base.get(), mid->effective.get());
-
-  WriteBatch second;
-  second.Insert("G", {4, 4});
-  second.Delete("G", {1, 1});
-  ASSERT_TRUE(db.Apply(second).ok());
-  StatusOr<Catalog::EntryState> folded = db.Inspect("G");
-  ASSERT_TRUE(folded.ok());
-  EXPECT_TRUE(folded->deltas.empty());
-  EXPECT_EQ(folded->base.get(), folded->effective.get());
-  EXPECT_EQ(ToEdges(**db.Get("G")),
-            (std::set<Edge>{{2, 2}, {3, 3}, {4, 4}}));
-}
-
 TEST(WriteBatchTest, TombstoneOfADeltaRow) {
   Catalog db;
-  db.Put("G", FromEdges({{1, 2}}));
+  test::CreateRelation(&db, "G", FromEdges({{1, 2}}));
 
-  // {5,6} only ever exists as a delta insert; the later tombstone must
-  // cancel it out of the *chain*, not just the base.
+  // {5,6} only ever exists because a write added it; the later
+  // tombstone must remove it from the next version.
   WriteBatch add;
   add.Insert("G", {5, 6});
   ASSERT_TRUE(db.Apply(add).ok());
@@ -308,7 +280,7 @@ TEST(ComposeDeltaTest, CompositionEqualsSequentialApplication) {
   Rng rng(777);
   for (int round = 0; round < 30; ++round) {
     Catalog sequential;
-    sequential.Put("G", dataset::ErdosRenyi(12, 30, rng));
+    test::CreateRelation(&sequential, "G", dataset::ErdosRenyi(12, 30, rng));
     const std::set<Edge> start = ToEdges(**sequential.Get("G"));
 
     auto random_batch = [&] {
@@ -333,7 +305,7 @@ TEST(ComposeDeltaTest, CompositionEqualsSequentialApplication) {
     // composed net delta the index cache patches with (checked against
     // the sequential result via a third, batch-merged application).
     Catalog merged;
-    merged.Put("G", FromEdges(start));
+    test::CreateRelation(&merged, "G", FromEdges(start));
     ASSERT_TRUE(merged.Apply(first).ok());
     ASSERT_TRUE(merged.Apply(second).ok());
     EXPECT_EQ(ToEdges(**merged.Get("G")), ToEdges(**sequential.Get("G")));
@@ -383,53 +355,6 @@ TEST(ComposeDeltaTest, CompositionEqualsSequentialApplication) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot round-trip of a written-to catalog (format v2)
-
-TEST(UpdatesSnapshotTest, SaveOpenRoundTripsPendingDeltaChain) {
-  const std::string path = ::testing::TempDir() + "/updates_chain.snap";
-  Rng rng(5);
-  std::set<Edge> expect;
-  {
-    api::Database db;
-    db.AddRelation("G", dataset::ErdosRenyi(20, 60, rng));
-    db.set_delta_compact_threshold(1 << 20);  // keep the chain
-    storage::WriteBatch batch;
-    batch.Insert("G", {100, 101});
-    batch.Insert("G", {101, 102});
-    ASSERT_TRUE(db.Apply(batch).ok());
-    storage::WriteBatch more;
-    more.Insert("G", {102, 103});
-    more.Delete("G", {100, 101});
-    ASSERT_TRUE(db.Apply(more).ok());
-    StatusOr<Catalog::EntryState> state = db.catalog().Inspect("G");
-    ASSERT_TRUE(state.ok());
-    ASSERT_EQ(state->deltas.size(), 2u);  // the chain is really pending
-    expect = ToEdges(**db.catalog().Get("G"));
-    ASSERT_TRUE(db.Save(path).ok());
-  }
-  {
-    api::Database db;
-    ASSERT_TRUE(db.Open(path).ok());
-    // Content round-trips AND the chain survives as a chain: the base
-    // stays the mmap-backed pre-write relation, the delta rows ride on
-    // the heap.
-    EXPECT_EQ(ToEdges(**db.catalog().Get("G")), expect);
-    StatusOr<Catalog::EntryState> state = db.catalog().Inspect("G");
-    ASSERT_TRUE(state.ok());
-    EXPECT_EQ(state->deltas.size(), 2u);
-    EXPECT_NE(state->base.get(), state->effective.get());
-    EXPECT_TRUE(state->base->is_alias());  // views the mapped file
-    // And queries over the restored entry agree with the oracle.
-    api::Session session = db.OpenSession();
-    session.options().num_samples = 64;
-    api::Result result = session.Run("G(a,b) G(b,c)");
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result.count(), RebuildOracle(expect, "G(a,b) G(b,c)"));
-  }
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Randomized mixed read/write property suite
 
 constexpr const char* kStrategies[] = {"ADJ", "HCubeJ", "HCubeJ+Cache",
@@ -439,9 +364,6 @@ TEST(UpdatePropertyTest, MixedReadsAndWritesMatchRebuildOracle) {
   Rng rng(20260808);
   api::Database db;
   db.AddRelation("G", dataset::ErdosRenyi(25, 90, rng));
-  // A small threshold so the rounds below cross compaction boundaries
-  // mid-stream, not just at the end.
-  db.set_delta_compact_threshold(8);
   std::set<Edge> mirror = ToEdges(**db.catalog().Get("G"));
 
   api::Session session = db.OpenSession();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "query/queries.h"
@@ -16,7 +17,7 @@ using query::Query;
 storage::Catalog SmallGraphDb(uint64_t seed, uint64_t nodes, uint64_t edges) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(nodes, edges, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(nodes, edges, rng));
   return db;
 }
 
@@ -45,7 +46,7 @@ StatusOr<uint64_t> RunLeapfrog(const Query& q, const storage::Catalog& db,
 
 TEST(NaiveJoinTest, TriangleOnCompleteGraph) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(5));
+  test::CreateRelation(&db, "G", dataset::CompleteGraph(5));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   auto result = NaiveJoin(*q, db);
   ASSERT_TRUE(result.ok());
@@ -55,7 +56,7 @@ TEST(NaiveJoinTest, TriangleOnCompleteGraph) {
 
 TEST(NaiveJoinTest, PathQueryOnPathGraph) {
   storage::Catalog db;
-  db.Put("G", dataset::PathGraph(5));
+  test::CreateRelation(&db, "G", dataset::PathGraph(5));
   auto q = Query::Parse("G(a,b) G(b,c)");
   auto result = NaiveJoin(*q, db);
   ASSERT_TRUE(result.ok());
@@ -64,7 +65,7 @@ TEST(NaiveJoinTest, PathQueryOnPathGraph) {
 
 TEST(NaiveJoinTest, RowLimitTrips) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(10));
+  test::CreateRelation(&db, "G", dataset::CompleteGraph(10));
   auto q = Query::Parse("G(a,b) G(b,c)");
   auto result = NaiveJoin(*q, db, /*row_limit=*/10);
   ASSERT_FALSE(result.ok());
@@ -98,7 +99,7 @@ TEST(HashJoinTest, NoSharedAttributesIsCartesian) {
 
 TEST(LeapfrogTest, TriangleOnCompleteGraphMatchesClosedForm) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(6));
+  test::CreateRelation(&db, "G", dataset::CompleteGraph(6));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   auto count = RunLeapfrog(*q, db, {0, 1, 2});
   ASSERT_TRUE(count.ok());
@@ -134,11 +135,11 @@ TEST(LeapfrogTest, PaperWorkedExample) {
     r5.Append({row[0], row[1]});
   }
   r5.SortAndDedup();
-  db.Put("R1", std::move(r1));
-  db.Put("R2", std::move(r2));
-  db.Put("R3", std::move(r3));
-  db.Put("R4", std::move(r4));
-  db.Put("R5", std::move(r5));
+  test::CreateRelation(&db, "R1", std::move(r1));
+  test::CreateRelation(&db, "R2", std::move(r2));
+  test::CreateRelation(&db, "R3", std::move(r3));
+  test::CreateRelation(&db, "R4", std::move(r4));
+  test::CreateRelation(&db, "R5", std::move(r5));
   auto q = Query::Parse("R1(a,b,c) R2(a,d) R3(c,d) R4(b,e) R5(c,e)");
   JoinStats stats;
   auto count = RunLeapfrog(*q, db, {0, 1, 2, 3, 4}, &stats);
@@ -156,7 +157,7 @@ TEST(LeapfrogTest, PaperWorkedExample) {
 
 TEST(LeapfrogTest, EmptyInputYieldsZero) {
   storage::Catalog db;
-  db.Put("G", storage::Relation(storage::Schema({0, 1})));
+  test::CreateRelation(&db, "G", storage::Relation(storage::Schema({0, 1})));
   auto q = Query::Parse("G(a,b) G(b,c)");
   auto count = RunLeapfrog(*q, db, {0, 1, 2});
   ASSERT_TRUE(count.ok());
@@ -165,7 +166,7 @@ TEST(LeapfrogTest, EmptyInputYieldsZero) {
 
 TEST(LeapfrogTest, FirstValuePinning) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(5));
+  test::CreateRelation(&db, "G", dataset::CompleteGraph(5));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   // Sum over all pinned first values == total count.
   uint64_t total = 0;
@@ -183,7 +184,7 @@ TEST(LeapfrogTest, FirstValuePinning) {
 
 TEST(LeapfrogTest, ExtensionLimitTrips) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(10));
+  test::CreateRelation(&db, "G", dataset::CompleteGraph(10));
   auto q = Query::Parse("G(a,b) G(b,c) G(a,c)");
   const std::vector<int> rank = query::RankOf({0, 1, 2}, 3);
   std::vector<PreparedRelation> prepared;
@@ -316,7 +317,7 @@ TEST(CachedLeapfrogTest, CacheHitsOnRepetitiveStructure) {
   // keyed by (a, c) only, so every additional b binding with the same
   // (a, c) re-uses the cached intersection — CacheTrieJoin's win.
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(10));
+  test::CreateRelation(&db, "G", dataset::CompleteGraph(10));
   auto q = Query::Parse("G(a,b) G(b,c) G(c,d) G(d,a)");
   JoinStats stats;
   IntersectionCache cache(1 << 22);

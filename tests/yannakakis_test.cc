@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "catalog_test_util.h"
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "exec/yannakakis.h"
@@ -14,7 +15,7 @@ storage::Catalog SmallDb(uint64_t seed, uint64_t nodes = 30,
                          uint64_t edges = 150) {
   Rng rng(seed);
   storage::Catalog db;
-  db.Put("G", dataset::ErdosRenyi(nodes, edges, rng));
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(nodes, edges, rng));
   return db;
 }
 
@@ -78,7 +79,7 @@ TEST(YannakakisTest, ReductionBoundsIntermediates) {
   // On a path query with many dangling edges, full reduction keeps
   // intermediates at most the bag sizes after reduction.
   storage::Catalog db;
-  db.Put("G", dataset::PathGraph(50));
+  test::CreateRelation(&db, "G", dataset::PathGraph(50));
   auto q = query::Query::Parse("G(a,b) G(b,c) G(c,d) G(d,e)");
   YannakakisStats stats;
   auto result = YannakakisJoinAuto(*q, db, &stats);
@@ -90,7 +91,7 @@ TEST(YannakakisTest, ReductionBoundsIntermediates) {
 
 TEST(YannakakisTest, RowLimitPropagates) {
   storage::Catalog db;
-  db.Put("G", dataset::CompleteGraph(12));
+  test::CreateRelation(&db, "G", dataset::CompleteGraph(12));
   auto q = query::MakeBenchmarkQuery(2);
   auto result = YannakakisJoinAuto(*q, db, nullptr, /*row_limit=*/10);
   ASSERT_FALSE(result.ok());
@@ -99,7 +100,7 @@ TEST(YannakakisTest, RowLimitPropagates) {
 
 TEST(YannakakisTest, EmptyInputYieldsEmpty) {
   storage::Catalog db;
-  db.Put("G", storage::Relation(storage::Schema({0, 1})));
+  test::CreateRelation(&db, "G", storage::Relation(storage::Schema({0, 1})));
   auto q = query::Query::Parse("G(a,b) G(b,c)");
   auto result = YannakakisJoinAuto(*q, db);
   ASSERT_TRUE(result.ok());
