@@ -69,11 +69,11 @@ void Run() {
         }
       }
       // All-Selected: comm-first baseline order (scored over all).
-      auto all_selected = engine.SelectCommFirstOrder(*q);
+      core::EngineOptions opts = BenchOptions(servers);
+      auto all_selected = engine.SelectCommFirstOrder(*q, opts.cluster);
       ADJ_CHECK(all_selected.ok());
       const double all_sel = EstimateIntermediates(*q, db, *all_selected);
       // Valid-Selected: ADJ's planned order.
-      core::EngineOptions opts = BenchOptions(servers);
       opts.num_samples = 200;
       auto planned = engine.Plan(*q, opts);
       ADJ_CHECK(planned.ok()) << planned.status();

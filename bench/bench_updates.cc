@@ -20,10 +20,15 @@
 //      rebuilds (cache build counter advances),
 //   3. a write to a relation the prepared query does not read touches
 //      zero indexes: the plan stays fresh and the rerun does zero
-//      builds and zero delta-row merges.
+//      builds and zero delta-row merges,
+//   4. on 4 servers, every rerun right after a point write builds
+//      zero indexes: rows, tries and each server's HCube shards are
+//      patched (bench_util.h's RefreshLeg, which also times both
+//      paths write-to-result, since shards are patched in the rerun).
 //
 // Emits BENCH_updates.json — min, median and max of both refresh
-// paths — so the write-path latency trajectory is recorded per run.
+// paths of both legs — so the write-path latency trajectory is
+// recorded per run.
 // Scale knobs: ADJ_BENCH_SCALE (bench_util.h).
 #include <algorithm>
 #include <cstdio>
@@ -43,15 +48,6 @@ constexpr int kRounds = 15;
 // guaranteed-new tuple that closes no triangle, so the output count is
 // invariant across rounds and both refresh paths must agree on it.
 constexpr Value kProbeBase = 2'000'000'000;
-
-/// Min, median and max of one path's refresh times.
-struct Spread {
-  double min = 0, median = 0, max = 0;
-};
-Spread SpreadOf(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return {xs.front(), xs[xs.size() / 2], xs.back()};
-}
 
 int Run() {
   // Default above bench_util's 0.2: the >=5x gate needs the full
@@ -157,6 +153,10 @@ int Run() {
   const uint64_t untouched_merges =
       db.catalog().index_cache().stats().delta_rows_merged - merged_before;
 
+  // Gate 4: the multi-server leg, on fresh probe ids.
+  const RefreshLeg four = RunRefreshLeg(db, kQuery, /*servers=*/4, kRounds,
+                                        kProbeBase + 4 * kRounds);
+
   const double speedup =
       delta.min > 0 ? full.min / delta.min : kMinSpeedup * 10;
   std::printf(
@@ -193,8 +193,7 @@ int Run() {
                  "  \"delta_run_rows_merged\": %llu,\n"
                  "  \"full_run_index_builds\": %llu,\n"
                  "  \"bystander_write_index_builds\": %llu,\n"
-                 "  \"bystander_write_rows_merged\": %llu\n"
-                 "}\n",
+                 "  \"bystander_write_rows_merged\": %llu,\n",
                  kQuery, scale, static_cast<unsigned long long>(delta_count),
                  kRounds, delta.min, delta.median, delta.max, full.min,
                  full.median, full.max, speedup,
@@ -203,10 +202,19 @@ int Run() {
                  static_cast<unsigned long long>(full_builds),
                  static_cast<unsigned long long>(untouched_builds),
                  static_cast<unsigned long long>(untouched_merges));
+    WriteRefreshLegJson(json, "servers4", four);
+    std::fprintf(json, "  \"servers4_count\": %llu\n}\n",
+                 static_cast<unsigned long long>(four.count));
     std::fclose(json);
   }
 
-  int failures = 0;
+  int failures = ReportRefreshLeg("updates smoke", 4, four);
+  if (four.count != delta_count) {
+    std::fprintf(stderr, "FAIL: 4-server count %llu != 1-server count %llu\n",
+                 static_cast<unsigned long long>(four.count),
+                 static_cast<unsigned long long>(delta_count));
+    ++failures;
+  }
   if (speedup < kMinSpeedup) {
     std::fprintf(stderr, "FAIL: delta refresh speedup %.1fx < %.1fx\n",
                  speedup, kMinSpeedup);

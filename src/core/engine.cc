@@ -10,6 +10,7 @@
 #include "exec/precompute.h"
 #include "ghd/decomposition.h"
 #include "optimizer/explain.h"
+#include "optimizer/share_optimizer.h"
 #include "sampling/sampler.h"
 #include "sampling/sketch_estimator.h"
 #include "wcoj/naive_join.h"
@@ -160,16 +161,43 @@ class EstimationContext {
 
 namespace {
 
+/// The share vector HCube would pick for the base atoms of `q` on
+/// `cluster` (Eq. 3 over the stored relation sizes); all ones when it
+/// cannot be solved.
+dist::ShareVector BaseShares(const query::Query& q,
+                             const storage::Catalog& db,
+                             const dist::ClusterConfig& cluster) {
+  std::vector<optimizer::ShareInput> inputs;
+  for (const query::Atom& atom : q.atoms()) {
+    StatusOr<const storage::Relation*> rel = db.Get(atom.relation);
+    if (!rel.ok()) break;
+    inputs.push_back(
+        {atom.schema.Mask(), (*rel)->size(), (*rel)->SizeBytes()});
+  }
+  if (inputs.size() == size_t(q.num_atoms())) {
+    StatusOr<dist::ShareVector> share =
+        optimizer::OptimizeShares(inputs, q.num_attrs(), cluster);
+    if (share.ok()) return *share;
+  }
+  return dist::ShareVector{std::vector<uint32_t>(size_t(q.num_attrs()), 1)};
+}
+
 /// Order score shared by the comm-first baseline (over all orders) and
 /// ADJ's valid-order selection: total estimated intermediate bindings
-/// across the order's prefixes.
+/// per server across the order's prefixes. A binding of prefix P is
+/// enumerated only by the cubes that agree with its hashes on P, so
+/// under `share` each server sees EstimateBindings(P) / prod_{a in P}
+/// p_a of them: opening on split attributes divides the work.
 double SketchOrderScore(const sampling::SketchEstimator& sketch,
+                        const dist::ShareVector& share,
                         const query::AttributeOrder& order) {
   double score = 0.0;
+  double split = 1.0;
   AttrMask prefix = 0;
   for (AttrId a : order) {
     prefix |= (AttrMask(1) << a);
-    score += sketch.EstimateBindings(prefix);
+    split *= double(share.p[size_t(a)]);
+    score += sketch.EstimateBindings(prefix) / split;
   }
   return score;
 }
@@ -177,15 +205,16 @@ double SketchOrderScore(const sampling::SketchEstimator& sketch,
 }  // namespace
 
 StatusOr<query::AttributeOrder> Engine::SelectCommFirstOrder(
-    const query::Query& q) const {
+    const query::Query& q, const dist::ClusterConfig& cluster) const {
   StatusOr<sampling::SketchEstimator> sketch =
       sampling::SketchEstimator::Build(q, *db_);
   if (!sketch.ok()) return sketch.status();
+  const dist::ShareVector share = BaseShares(q, *db_, cluster);
   double best_score = std::numeric_limits<double>::infinity();
   query::AttributeOrder best;
   for (const query::AttributeOrder& order :
        query::AllOrders(q.AllAttrs())) {
-    const double score = SketchOrderScore(*sketch, order);
+    const double score = SketchOrderScore(*sketch, share, order);
     if (score < best_score) {
       best_score = score;
       best = order;
@@ -286,9 +315,10 @@ StatusOr<PlanResult> Engine::Plan(const query::Query& q,
   in.estimate_distinct = [&](AttrId a) { return ctx.Distinct(a); };
   StatusOr<sampling::SketchEstimator> sketch =
       sampling::SketchEstimator::Build(q, *db_);
+  const dist::ShareVector share = BaseShares(q, *db_, options.cluster);
   if (sketch.ok()) {
     in.order_score = [&](const query::AttributeOrder& order) {
-      return SketchOrderScore(*sketch, order);
+      return SketchOrderScore(*sketch, share, order);
     };
   }
 
@@ -489,7 +519,8 @@ StatusOr<exec::RunReport> Engine::RunCommFirst(const query::Query& q,
                                                const EngineOptions& options,
                                                bool cached) {
   WallTimer timer;
-  StatusOr<query::AttributeOrder> order = SelectCommFirstOrder(q);
+  StatusOr<query::AttributeOrder> order =
+      SelectCommFirstOrder(q, options.cluster);
   if (!order.ok()) return order.status();
   const double optimize_s = timer.Seconds();
 

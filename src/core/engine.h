@@ -168,9 +168,10 @@ class Engine {
 
   /// The comm-first baseline's attribute-order selection: best
   /// sketch-scored order among *all* n! orders ("All-Selected" in
-  /// Fig. 8).
+  /// Fig. 8), scored per server under the shares HCube picks for the
+  /// base atoms on `cluster`.
   StatusOr<query::AttributeOrder> SelectCommFirstOrder(
-      const query::Query& q) const;
+      const query::Query& q, const dist::ClusterConfig& cluster) const;
 
   /// Strategy building blocks — the StrategyRegistry's default entries
   /// (kept public so runtime-registered strategies can compose them).

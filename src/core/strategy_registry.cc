@@ -37,7 +37,8 @@ void StrategyRegistry::RegisterPaperStrategies() {
   strategies_[StrategyName(Strategy::kBigJoin)] =
       [](Engine& engine, const query::Query& q,
          const EngineOptions& options) -> StatusOr<exec::RunReport> {
-        StatusOr<query::AttributeOrder> order = engine.SelectCommFirstOrder(q);
+        StatusOr<query::AttributeOrder> order =
+            engine.SelectCommFirstOrder(q, options.cluster);
         if (!order.ok()) return order.status();
         dist::Cluster cluster(options.cluster);
         return exec::RunBigJoin(q, engine.db(), *order, &cluster,

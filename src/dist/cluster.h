@@ -36,12 +36,14 @@ struct LocalShard {
   std::vector<std::shared_ptr<const storage::Relation>> atoms;
   std::vector<std::shared_ptr<const storage::Trie>> tries;
   std::vector<std::vector<AttrId>> attrs;
+  std::vector<uint64_t> wire_bytes;  // per atom: modeled bytes shipped
   uint64_t resident_bytes = 0;
 
   void Clear() {
     atoms.clear();
     tries.clear();
     attrs.clear();
+    wire_bytes.clear();
     resident_bytes = 0;
   }
 };

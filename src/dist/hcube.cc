@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "storage/block_codec.h"
+#include "storage/write_batch.h"
 
 namespace adj::dist {
 namespace {
@@ -122,6 +124,23 @@ uint64_t MergeWireBytes(const storage::Trie& trie) {
   return bytes;
 }
 
+/// Wire bytes of shipping one server's fragment under `variant`: Push
+/// sends raw records, Pull the encoded sorted block, Merge the encoded
+/// trie arrays. An empty fragment ships nothing.
+uint64_t WireBytes(HCubeVariant variant, const storage::Relation& block,
+                   const storage::Trie& trie) {
+  if (block.empty()) return 0;
+  switch (variant) {
+    case HCubeVariant::kPush:
+      return block.SizeBytes();
+    case HCubeVariant::kPull:
+      return PullWireBytes(block);
+    case HCubeVariant::kMerge:
+      return MergeWireBytes(trie);
+  }
+  return 0;
+}
+
 /// Single-server shuffle outcome without building anything: with one
 /// server every tuple of the (already canonical) input lands on that
 /// server exactly once, so the shard fragment *is* the prepared
@@ -133,19 +152,7 @@ ShardedRelation AliasSingleServer(
   ShardedRelation sharded;
   sharded.per_server.resize(1);
   ShardedRelation::Fragment& frag = sharded.per_server[0];
-  if (!rel->empty()) {
-    switch (variant) {
-      case HCubeVariant::kPush:
-        frag.wire_bytes = rel->SizeBytes();
-        break;
-      case HCubeVariant::kPull:
-        frag.wire_bytes = PullWireBytes(*rel);
-        break;
-      case HCubeVariant::kMerge:
-        frag.wire_bytes = MergeWireBytes(*trie);
-        break;
-    }
-  }
+  frag.wire_bytes = WireBytes(variant, *rel, *trie);
   frag.block = std::move(rel);
   frag.trie = std::move(trie);
   return sharded;
@@ -171,7 +178,6 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
       switch (variant) {
         case HCubeVariant::kPush: {
           // Records arrive interleaved: sort + dedup + build, timed.
-          frag.wire_bytes = block.SizeBytes();
           storage::Relation arrival =
               ScrambleRows(block, uint64_t(s) * 131 + input_index + 1);
           WallTimer timer;
@@ -182,7 +188,6 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
         }
         case HCubeVariant::kPull: {
           // Sorted compressed blocks: verify order + build, no sort.
-          frag.wire_bytes = PullWireBytes(block);
           WallTimer timer;
           block.IsSortedUnique();
           trie = storage::Trie::Build(block);
@@ -194,11 +199,58 @@ ShardedRelation BuildSharded(const storage::Relation& rel,
           // does no local build work (the sender-side build below is
           // not charged to the receiver's makespan).
           trie = storage::Trie::Build(block);
-          frag.wire_bytes = MergeWireBytes(trie);
           break;
         }
       }
     }
+    frag.wire_bytes = WireBytes(variant, block, trie);
+    frag.block = std::make_shared<const storage::Relation>(std::move(block));
+    frag.trie = std::make_shared<const storage::Trie>(std::move(trie));
+  }
+  return sharded;
+}
+
+/// The shards of an input after a write, from `prev`, its shards
+/// before it: the delta's rows are permuted into the input's column
+/// order and routed exactly like the input's own tuples (free
+/// dimensions included). Each server the delta reaches merges its rows
+/// into the old block and patches the old trie (Push and Pull
+/// receivers are charged that work, Merge receivers adopt); every
+/// other server keeps its fragment as it is. The result equals
+/// BuildSharded over the new rows, fragment by fragment.
+ShardedRelation PatchSharded(const ShardedRelation& prev,
+                             const storage::DeltaBatch& delta,
+                             const std::vector<int>& perm,
+                             const storage::Schema& schema,
+                             const RoutePlan& plan, int num_servers,
+                             HCubeVariant variant,
+                             std::vector<double>* build_seconds) {
+  storage::Relation ins = delta.inserts.PermuteColumns(schema, perm);
+  ins.SortAndDedup();
+  storage::Relation del = delta.deletes.PermuteColumns(schema, perm);
+  del.SortAndDedup();
+  // Routing keeps each server's rows in input order, so they stay
+  // sorted.
+  const std::vector<storage::Relation> ins_at =
+      RouteInput(ins, plan, num_servers);
+  const std::vector<storage::Relation> del_at =
+      RouteInput(del, plan, num_servers);
+  ShardedRelation sharded = prev;
+  for (int s = 0; s < num_servers; ++s) {
+    const storage::Relation& si = ins_at[size_t(s)];
+    const storage::Relation& sd = del_at[size_t(s)];
+    if (si.empty() && sd.empty()) continue;
+    ShardedRelation::Fragment& frag = sharded.per_server[size_t(s)];
+    WallTimer timer;
+    storage::Relation block(schema);
+    storage::MergeDeltaRows(frag.block->raw(), schema.arity(), si.raw(),
+                            sd.raw(), &block.mutable_raw());
+    storage::Trie trie;
+    if (!block.empty()) trie = storage::Trie::PatchFrom(*frag.trie, si, sd);
+    if (variant != HCubeVariant::kMerge) {
+      (*build_seconds)[size_t(s)] += timer.Seconds();
+    }
+    frag.wire_bytes = WireBytes(variant, block, trie);
     frag.block = std::make_shared<const storage::Relation>(std::move(block));
     frag.trie = std::make_shared<const storage::Trie>(std::move(trie));
   }
@@ -309,6 +361,22 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
       StatusOr<std::shared_ptr<const void>> artifact = cache->GetOrBuild(
           in.trie.get(), spec, in.trie,
           [&]() -> StatusOr<storage::IndexCache::BuildResult> {
+            // The input's trie was delta-patched from one whose shards
+            // under this spec were resident: patch them too. (One
+            // server's artifact holds wire sizes only; it re-aliases.)
+            std::optional<storage::IndexCache::ShardSource> src =
+                cache->TakeShardSource(in.trie, spec);
+            if (src.has_value() && num_servers > 1) {
+              auto patched = std::make_shared<ShardedRelation>(PatchSharded(
+                  *std::static_pointer_cast<const ShardedRelation>(
+                      src->artifact),
+                  *src->delta, src->perm, in.rel->schema(), plans[i],
+                  num_servers, variant, &build_s));
+              storage::IndexCache::BuildResult result{patched,
+                                                      patched->Bytes()};
+              result.patched = true;
+              return result;
+            }
             auto built = std::make_shared<ShardedRelation>(
                 alias_single
                     ? AliasSingleServer(in.shared_rel, in.trie, variant)
@@ -367,6 +435,7 @@ StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
       shard.attrs.push_back(inputs[i].attrs);
       shard.atoms.push_back(frag.block);
       shard.tries.push_back(frag.trie);
+      shard.wire_bytes.push_back(frag.wire_bytes);
     }
     result.build_seconds_sum += build_s[size_t(s)];
     result.build_seconds_max =

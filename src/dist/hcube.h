@@ -96,8 +96,13 @@ struct HCubeResult {
 /// it: the first shuffle routes, sorts, and builds (charged to
 /// build_seconds as usual, ticked into `build_stats`), later shuffles
 /// reuse the resident artifacts (zero build seconds, a `build_stats`
-/// hit). Communication is *modeled* identically either way — the
-/// comm figures of a warm run match the cold one.
+/// hit). An input whose trie the cache delta-patched after a write
+/// patches the pre-write shards the cache kept for it instead
+/// (IndexCache::TakeShardSource): the delta is routed like any tuple,
+/// only the servers it reaches merge and patch, and `build_stats`
+/// ticks `patched`, not `builds`. Communication is *modeled*
+/// identically either way — the comm figures of a warm run match the
+/// cold one.
 StatusOr<HCubeResult> HCubeShuffle(const std::vector<HCubeInput>& inputs,
                                    const ShareVector& share,
                                    HCubeVariant variant, Cluster* cluster,

@@ -52,12 +52,28 @@ double SketchEstimator::EstimateJoin(AtomMask atoms) const {
 
 double SketchEstimator::EstimateBindings(AttrMask attrs) const {
   AtomMask atoms = 0;
+  AttrMask covered = 0;
   for (int i = 0; i < q_->num_atoms(); ++i) {
-    if ((q_->atom(i).schema.Mask() & ~attrs) == 0) {
+    const AttrMask schema = q_->atom(i).schema.Mask();
+    if ((schema & ~attrs) == 0) {
       atoms |= (AtomMask(1) << i);
+      covered |= schema;
     }
   }
-  return EstimateJoin(atoms);
+  double size = EstimateJoin(atoms);
+  // An attribute no contained atom binds still multiplies the
+  // bindings by its candidate values, so a disconnected prefix (the
+  // 4-cycle's {a,c}) prices as the cross product it is.
+  for (int a = 0; a < q_->num_attrs(); ++a) {
+    if ((attrs & ~covered & (AttrMask(1) << a)) == 0) continue;
+    uint64_t fewest = 0;
+    for (int i = 0; i < q_->num_atoms(); ++i) {
+      const uint64_t d = distinct_[size_t(i)][size_t(a)];
+      if (d > 0 && (fewest == 0 || d < fewest)) fewest = d;
+    }
+    if (fewest > 0) size *= double(fewest);
+  }
+  return size;
 }
 
 }  // namespace adj::sampling

@@ -27,8 +27,11 @@ class SketchEstimator {
   /// — the independence/inclusion heuristic of [17].
   double EstimateJoin(AtomMask atoms) const;
 
-  /// Estimated join size of all atoms whose schema is contained in
-  /// `attrs` — the binding-count proxy for order selection.
+  /// Estimated number of bindings over `attrs` — the binding-count
+  /// proxy for order selection: the join size of all atoms whose
+  /// schema is contained in `attrs`, times, for each attribute of
+  /// `attrs` no contained atom binds, the smallest distinct count any
+  /// atom holds for it (a disconnected prefix is a cross product).
   double EstimateBindings(AttrMask attrs) const;
 
   uint64_t distinct(int atom, AttrId a) const {

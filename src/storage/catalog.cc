@@ -12,11 +12,19 @@ Status Catalog::Apply(const WriteBatch& batch) {
   // out, so a rejected batch is a no-op.
   {
     std::map<std::string, int> created;  // names (re)bound by this batch
+    // Consecutive tuple ops on one name — the common batch — share one
+    // lookup; a create or alias may rebind the name, so it resets this.
+    const std::string* last_name = nullptr;
+    int last_arity = -1;
     auto arity_of = [&](const std::string& name) -> int {
+      if (last_name != nullptr && *last_name == name) return last_arity;
       auto it = created.find(name);
-      if (it != created.end()) return it->second;
       auto rit = relations_.find(name);
-      return rit == relations_.end() ? -1 : rit->second.rel->arity();
+      last_arity = it != created.end()    ? it->second
+                   : rit == relations_.end() ? -1
+                                            : rit->second.rel->arity();
+      last_name = &name;
+      return last_arity;
     };
     for (const WriteBatch::Op& op : batch.ops_) {
       switch (op.kind) {
@@ -26,6 +34,7 @@ Status Catalog::Apply(const WriteBatch& batch) {
                                            op.name);
           }
           created[op.name] = op.rel->arity();
+          last_name = nullptr;
           break;
         }
         case WriteBatch::Op::kAlias: {
@@ -34,6 +43,7 @@ Status Catalog::Apply(const WriteBatch& batch) {
             return Status::NotFound("relation not in catalog: " + op.target);
           }
           created[op.name] = a;
+          last_name = nullptr;
           break;
         }
         case WriteBatch::Op::kInsert:
@@ -53,44 +63,45 @@ Status Catalog::Apply(const WriteBatch& batch) {
   }
 
   // Phase 2 — apply in queue order. Tuple ops coalesce into one
-  // pending (inserts, deletes) pair per name — last op per tuple wins,
-  // keeping the two sets disjoint — flushed as a single DeltaBatch
-  // when a create/alias rebinds the name mid-batch, and at the end.
-  using RowSet = std::set<std::vector<Value>>;
-  std::map<std::string, std::pair<RowSet, RowSet>> pending;
+  // pending op list per name, flushed as a single DeltaBatch when a
+  // create/alias rebinds the name mid-batch, and at the end: sorted by
+  // tuple (stably, so queue order breaks ties), the last op per tuple
+  // wins, which keeps inserts and deletes disjoint.
+  std::map<std::string, std::vector<const WriteBatch::Op*>> pending;
   auto flush = [&](const std::string& name) {
     auto it = pending.find(name);
     if (it == pending.end()) return;
+    std::vector<const WriteBatch::Op*>& ops = it->second;
+    std::stable_sort(ops.begin(), ops.end(),
+                     [](const WriteBatch::Op* x, const WriteBatch::Op* y) {
+                       return x->tuple < y->tuple;
+                     });
     const Schema& schema = relations_.at(name).rel->schema();
     auto delta = std::make_shared<DeltaBatch>();
     delta->inserts = Relation(schema);
     delta->deletes = Relation(schema);
-    // std::set of rows iterates in lexicographic order — already the
-    // sorted-unique form DeltaBatch requires.
-    for (const std::vector<Value>& t : it->second.first) {
-      delta->inserts.Append(std::span<const Value>(t));
-    }
-    for (const std::vector<Value>& t : it->second.second) {
-      delta->deletes.Append(std::span<const Value>(t));
+    for (size_t i = 0; i < ops.size(); ++i) {
+      if (i + 1 < ops.size() && ops[i + 1]->tuple == ops[i]->tuple) continue;
+      Relation& rows = ops[i]->kind == WriteBatch::Op::kInsert
+                           ? delta->inserts
+                           : delta->deletes;
+      rows.Append(std::span<const Value>(ops[i]->tuple));
     }
     pending.erase(it);
     ApplyDelta(name, std::move(delta));
   };
+  std::vector<const WriteBatch::Op*>* run = nullptr;  // last name's ops
   for (const WriteBatch::Op& op : batch.ops_) {
     switch (op.kind) {
-      case WriteBatch::Op::kInsert: {
-        auto& [ins, del] = pending[op.name];
-        del.erase(op.tuple);
-        ins.insert(op.tuple);
+      case WriteBatch::Op::kInsert:
+      case WriteBatch::Op::kDelete:
+        if (run == nullptr || run->front()->name != op.name) {
+          run = &pending[op.name];
+        }
+        run->push_back(&op);
         break;
-      }
-      case WriteBatch::Op::kDelete: {
-        auto& [ins, del] = pending[op.name];
-        ins.erase(op.tuple);
-        del.insert(op.tuple);
-        break;
-      }
       case WriteBatch::Op::kCreate: {
+        run = nullptr;  // flush may erase its list
         flush(op.name);
         Entry& e = relations_[op.name];
         e.rel = op.rel;
@@ -99,6 +110,7 @@ Status Catalog::Apply(const WriteBatch& batch) {
         break;
       }
       case WriteBatch::Op::kAlias: {
+        run = nullptr;
         flush(op.target);
         flush(op.name);
         // Copy the source entry before the map write so aliasing a

@@ -194,16 +194,17 @@ StatusOr<std::shared_ptr<const Trie>> IndexCache::GetPermutedTrie(
           Relation del = src.delta->deletes.PermuteColumns(schema, perm);
           del.SortAndDedup();
           Trie patched = Trie::PatchFrom(*src.trie, ins, del);
-          ConsumeTriePatchSource(base.get(), perm);
           if (patched.NumTuples() == rows.size()) {
             if (compress_tries()) {
               patched = Trie::Compress(std::move(patched));
             }
             auto trie = std::make_shared<const Trie>(std::move(patched));
+            ConsumeTriePatchSource(base.get(), perm, trie);
             BuildResult result{trie, trie->ResidentBytes()};
             result.patched = true;
             return result;
           }
+          ConsumeTriePatchSource(base.get(), perm, nullptr);
         }
         Trie built = Trie::Build(rows);
         if (compress_tries()) built = Trie::Compress(std::move(built));
@@ -351,8 +352,14 @@ void IndexCache::LinkDelta(const std::shared_ptr<const Relation>& prev,
             ComposeDelta(*src.delta, *delta));
         // Payload and trie both describe the ORIGINAL version, so the
         // composed net delta applies to either.
-        rec.by_perm[perm] =
-            PatchSource{src.payload, std::move(net), src.trie};
+        PatchSource& inherited = rec.by_perm[perm];
+        inherited = PatchSource{src.payload, net, src.trie, src.shards};
+        for (auto& [spec, shard] : inherited.shards) {
+          shard.delta = shard.delta == src.delta
+                            ? net
+                            : std::make_shared<DeltaBatch>(
+                                  ComposeDelta(*shard.delta, *delta));
+        }
       }
     }
     patches_.erase(pit);
@@ -370,6 +377,7 @@ void IndexCache::LinkDelta(const std::shared_ptr<const Relation>& prev,
       src.payload = std::static_pointer_cast<const Relation>(entry->artifact);
       src.delta = delta;
       src.trie = nullptr;  // reset an inherited trie: set below if resident
+      src.shards.clear();
     }
   }
   for (const auto& [key, entry] : entries_) {
@@ -380,18 +388,47 @@ void IndexCache::LinkDelta(const std::shared_ptr<const Relation>& prev,
     }
     const std::string perm = SpecJoin(entry->meta->perm);
     auto sit = rec.by_perm.find(perm);
+    PatchSource* src = nullptr;
     if (sit != rec.by_perm.end() && sit->second.delta == delta) {
       // Attach only to a fresh source (same delta): an inherited one
       // carries the older version's trie, not this entry.
-      sit->second.trie = std::static_pointer_cast<const Trie>(entry->artifact);
+      src = &sit->second;
     } else if (sit == rec.by_perm.end()) {
       // Trie resident without its rows payload (evicted): the trie
       // layer can still patch even though the rows layer rebuilds.
-      rec.by_perm[perm] = PatchSource{
-          nullptr, delta, std::static_pointer_cast<const Trie>(entry->artifact)};
+      src = &rec.by_perm[perm];
+      src->delta = delta;
+    }
+    if (src == nullptr) continue;
+    src->trie = std::static_pointer_cast<const Trie>(entry->artifact);
+    // Its shards: the artifacts resident under the trie's identity.
+    // Shard sources the trie itself holds from its own patch and no
+    // shuffle consumed are not carried on: a spec nobody reran since
+    // the last write rebuilds, so a source never outlives two writes.
+    for (auto it = entries_.lower_bound(Key{src->trie.get(), std::string()});
+         it != entries_.end() && it->first.first == src->trie.get(); ++it) {
+      if (it->second->ready && it->second->meta == nullptr) {
+        src->shards[it->first.second] =
+            ShardSource{it->second->artifact, delta, entry->meta->perm};
+      }
     }
   }
   if (!rec.by_perm.empty()) patches_[next.get()] = std::move(rec);
+}
+
+std::optional<IndexCache::ShardSource> IndexCache::TakeShardSource(
+    const std::shared_ptr<const Trie>& trie, const std::string& spec) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = shard_patches_.find(trie.get());
+  if (it == shard_patches_.end() || it->second.child.lock() != trie) {
+    return std::nullopt;
+  }
+  auto sit = it->second.by_spec.find(spec);
+  if (sit == it->second.by_spec.end()) return std::nullopt;
+  ShardSource out = std::move(sit->second);
+  it->second.by_spec.erase(sit);
+  if (it->second.by_spec.empty()) shard_patches_.erase(it);
+  return out;
 }
 
 bool IndexCache::PeekPatchSource(const std::shared_ptr<const Relation>& base,
@@ -422,13 +459,19 @@ void IndexCache::ConsumePatchSource(const void* identity,
   if (it->second.by_perm.empty()) patches_.erase(it);
 }
 
-void IndexCache::ConsumeTriePatchSource(const void* identity,
-                                        const std::vector<int>& perm) {
+void IndexCache::ConsumeTriePatchSource(
+    const void* identity, const std::vector<int>& perm,
+    const std::shared_ptr<const Trie>& successor) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = patches_.find(identity);
   if (it == patches_.end()) return;
   auto pit = it->second.by_perm.find(SpecJoin(perm));
   if (pit == it->second.by_perm.end()) return;
+  if (successor != nullptr && !pit->second.shards.empty()) {
+    shard_patches_[successor.get()] =
+        ShardRecord{successor, std::move(pit->second.shards)};
+  }
+  pit->second.shards.clear();
   pit->second.trie.reset();
   if (pit->second.payload == nullptr) it->second.by_perm.erase(pit);
   if (it->second.by_perm.empty()) patches_.erase(it);
@@ -479,15 +522,13 @@ void IndexCache::Sweep() {
   // derived from it — the next pass collects those.
   while (SweepOnceLocked()) {
   }
-  // Patch records die with their successor relation (their payload
-  // handles are what would otherwise keep dead payloads resident).
-  for (auto it = patches_.begin(); it != patches_.end();) {
-    if (it->second.child.expired()) {
-      it = patches_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Patch records die with their successor relation, shard records
+  // with their patched trie (their handles are what would otherwise
+  // keep dead payloads and shards resident).
+  std::erase_if(patches_,
+                [](const auto& kv) { return kv.second.child.expired(); });
+  std::erase_if(shard_patches_,
+                [](const auto& kv) { return kv.second.child.expired(); });
 }
 
 void IndexCache::EnforceBudgetLocked() {
@@ -521,6 +562,7 @@ void IndexCache::Clear() {
   }
   entries_.clear();
   patches_.clear();
+  shard_patches_.clear();
 }
 
 void IndexCache::EnforceBudget() {

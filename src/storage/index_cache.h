@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -212,6 +213,11 @@ class IndexCache {
   /// permuting + sorting the (small) delta and galloping-merging it
   /// into the recorded payload — O(delta log n) locate work and run
   /// copies — instead of re-permuting and re-sorting all of `next`.
+  /// A resident trie of `prev` joins its source, and so do the
+  /// artifacts keyed on that trie (HCube shards, spec → artifact):
+  /// when the trie layer patches, those become the new trie's shard
+  /// sources (TakeShardSource). Recording takes handles only — no
+  /// routing, merging or trie work happens here.
   /// Patch sources hold the payload artifact itself, so they survive
   /// sweeps/evictions of `prev`'s entries — once the catalog rebinds
   /// the name, `prev`'s entries are swept and the patch source is the
@@ -221,6 +227,25 @@ class IndexCache {
   void LinkDelta(const std::shared_ptr<const Relation>& prev,
                  const std::shared_ptr<const Relation>& next,
                  std::shared_ptr<const DeltaBatch> delta);
+
+  /// An artifact keyed on an older version of a permuted trie (an
+  /// HCube ShardedRelation, type-erased) and what separates the two:
+  /// `delta`, in base-relation column order, and `perm`, the column
+  /// order both tries index.
+  struct ShardSource {
+    std::shared_ptr<const void> artifact;
+    std::shared_ptr<const DeltaBatch> delta;
+    std::vector<int> perm;
+  };
+
+  /// Hands out (and forgets) the shard source recorded for `spec` on
+  /// `trie`, a trie the cache delta-patched from a predecessor whose
+  /// `spec` artifact was resident at the write (or, when nothing bound
+  /// the relation between writes, at the first of them: deltas
+  /// compose). The caller patches the artifact instead of building it
+  /// from the trie's rows.
+  std::optional<ShardSource> TakeShardSource(
+      const std::shared_ptr<const Trie>& trie, const std::string& spec);
 
   /// Garbage collection, run after every catalog write: drops entries
   /// (iterating to a fixpoint, so derived entries chain) whose pin is
@@ -274,6 +299,8 @@ class IndexCache {
     std::shared_ptr<const Relation> payload;
     std::shared_ptr<const DeltaBatch> delta;
     std::shared_ptr<const Trie> trie;
+    // Artifacts keyed on `trie`, by spec; handed to the patched trie.
+    std::map<std::string, ShardSource> shards;
   };
   /// Patch sources for one successor relation, keyed by SpecJoin(perm).
   /// `child` guards against address reuse: a record is only honored
@@ -281,6 +308,12 @@ class IndexCache {
   struct PatchRecord {
     std::weak_ptr<const Relation> child;
     std::map<std::string, PatchSource> by_perm;
+  };
+  /// Shard sources for one patched trie, keyed by spec; `child` is the
+  /// ABA guard, as in PatchRecord.
+  struct ShardRecord {
+    std::weak_ptr<const Trie> child;
+    std::map<std::string, ShardSource> by_spec;
   };
 
   /// The two physical layers under GetPermuted/GetPermutedRelation,
@@ -316,9 +349,12 @@ class IndexCache {
                           uint64_t merged_rows);
   /// Clears the source's trie (the trie layer has patched), dropping
   /// the per-perm source — and the record once empty — when the rows
-  /// side is already consumed.
+  /// side is already consumed. The source's shards become the shard
+  /// sources of `successor`, the trie patched from it (dropped when
+  /// null).
   void ConsumeTriePatchSource(const void* identity,
-                              const std::vector<int>& perm);
+                              const std::vector<int>& perm,
+                              const std::shared_ptr<const Trie>& successor);
 
   /// GetOrBuild plus permuted-layer bookkeeping (meta tag, mmap flag
   /// forwarded from adopted builds).
@@ -351,6 +387,10 @@ class IndexCache {
   // next bind, superseded by the next write, or dropped by Sweep once
   // the successor dies.
   std::map<const void*, PatchRecord> patches_;
+  // Shard sources keyed by patched-trie address (ABA-guarded by
+  // ShardRecord::child); consumed by the shuffle that rebuilds the
+  // spec, dropped by Sweep once the trie dies.
+  std::map<const void*, ShardRecord> shard_patches_;
   uint64_t tick_ = 0;
   Stats stats_;
 };

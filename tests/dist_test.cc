@@ -12,6 +12,7 @@
 #include "dist/hcube.h"
 #include "query/queries.h"
 #include "storage/trie.h"
+#include "storage/write_batch.h"
 #include "wcoj/leapfrog.h"
 #include "wcoj/naive_join.h"
 
@@ -263,6 +264,135 @@ TEST(HCubeTest, RejectsZeroShare) {
   Cluster cluster(cfg);
   ShareVector share{{0}};
   EXPECT_FALSE(HCubeShuffle(inputs, share, HCubeVariant::kPull, &cluster).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Shard patching after writes
+
+/// Expects `got`'s shards to equal `want`'s fragment by fragment: block
+/// rows, trie levels (raw, as shuffles build them) and wire bytes.
+void ExpectSameShards(Cluster& got, Cluster& want, const std::string& where) {
+  ASSERT_EQ(got.num_servers(), want.num_servers());
+  for (int s = 0; s < got.num_servers(); ++s) {
+    const LocalShard& g = got.shard(s);
+    const LocalShard& w = want.shard(s);
+    ASSERT_EQ(g.atoms.size(), w.atoms.size()) << where;
+    for (size_t a = 0; a < g.atoms.size(); ++a) {
+      const std::string at = where + " server " + std::to_string(s) +
+                             " atom " + std::to_string(a);
+      EXPECT_TRUE(std::ranges::equal(g.atoms[a]->raw(), w.atoms[a]->raw()))
+          << at;
+      const storage::Trie& gt = *g.tries[a];
+      const storage::Trie& wt = *w.tries[a];
+      ASSERT_EQ(gt.arity(), wt.arity()) << at;
+      for (int l = 0; l < gt.arity(); ++l) {
+        ASSERT_FALSE(gt.level_compressed(l) || wt.level_compressed(l)) << at;
+        EXPECT_TRUE(std::ranges::equal(gt.LevelSpan(l), wt.LevelSpan(l)))
+            << at << " level " << l;
+        EXPECT_TRUE(
+            std::ranges::equal(gt.ChildBeginSpan(l), wt.ChildBeginSpan(l)))
+            << at << " level " << l;
+      }
+      EXPECT_EQ(g.wire_bytes[a], w.wire_bytes[a]) << at;
+    }
+  }
+}
+
+// After a write, a shuffle of the delta-patched trie patches the
+// pre-write shards the cache kept (no build), and the result equals a
+// from-scratch shuffle of the new version for every variant. The path
+// query's share (2,1,2) leaves each atom one free dimension, so every
+// row — inserted rows included — lands on two servers. The writes
+// cover a tombstone of an earlier delta row and two writes with
+// nothing bound in between (composed sources); sources a bind
+// received but no shuffle consumed before the next write are dropped,
+// so that rerun rebuilds.
+TEST(HCubeShardPatchTest, PatchedShardsEqualScratchShuffle) {
+  const ShareVector share{{2, 1, 2}};
+  const std::vector<std::vector<AttrId>> attrs = {{0, 1}, {1, 2}};
+  const std::vector<int> identity = {0, 1};
+  ClusterConfig cfg;
+  cfg.num_servers = 4;
+  for (HCubeVariant variant :
+       {HCubeVariant::kPush, HCubeVariant::kPull, HCubeVariant::kMerge}) {
+    const std::string name = HCubeVariantName(variant);
+    Rng rng(41);
+    storage::Catalog db;
+    test::CreateRelation(&db, "G", dataset::ErdosRenyi(60, 400, rng));
+    const std::vector<Value> first_row(
+        (*db.Get("G"))->Row(0).begin(), (*db.Get("G"))->Row(0).end());
+
+    auto bind = [&](storage::IndexBuildStats* stats) {
+      StatusOr<storage::PreparedIndex> index =
+          db.index_cache().GetPermuted(*db.GetShared("G"), identity, stats);
+      EXPECT_TRUE(index.ok()) << index.status();
+      return *index;
+    };
+    // The cached shuffle under test, then the uncached oracle over a
+    // copy of the same rows.
+    auto check = [&](const std::string& where, bool expect_patch) {
+      storage::IndexBuildStats stats;
+      const storage::PreparedIndex index = bind(&stats);
+      std::vector<HCubeInput> inputs;
+      for (const auto& a : attrs) {
+        inputs.push_back({index.rel.get(), a, index.trie, index.rel});
+      }
+      Cluster got(cfg);
+      auto shuffled = HCubeShuffle(inputs, share, variant, &got,
+                                   &db.index_cache(), &stats);
+      ASSERT_TRUE(shuffled.ok()) << shuffled.status();
+      if (expect_patch) {
+        EXPECT_EQ(stats.builds, 0u) << name << " " << where;
+        EXPECT_EQ(stats.patched, 3u) << name << " " << where;
+      }
+      storage::Relation rows = **db.Get("G");
+      rows.SortAndDedup();
+      std::vector<HCubeInput> scratch_inputs;
+      for (const auto& a : attrs) scratch_inputs.push_back({&rows, a});
+      Cluster want(cfg);
+      auto scratch = HCubeShuffle(scratch_inputs, share, variant, &want);
+      ASSERT_TRUE(scratch.ok()) << scratch.status();
+      EXPECT_EQ(shuffled->comm.bytes, scratch->comm.bytes) << where;
+      EXPECT_EQ(shuffled->comm.tuple_copies, scratch->comm.tuple_copies);
+      ExpectSameShards(got, want, name + " " + where);
+    };
+    auto write = [&](std::vector<std::vector<Value>> inserts,
+                     std::vector<std::vector<Value>> deletes) {
+      storage::WriteBatch batch;
+      for (auto& t : inserts) batch.Insert("G", std::move(t));
+      for (auto& t : deletes) batch.Delete("G", std::move(t));
+      ASSERT_TRUE(db.Apply(batch).ok());
+    };
+
+    check("cold", /*expect_patch=*/false);
+    write({{1000, 1001}, {1002, 1003}}, {first_row});
+    check("insert + delete", true);
+    {
+      // The inserted row reached two servers through the free dimension.
+      int holders = 0;
+      Cluster probe(cfg);
+      storage::Relation rows = **db.Get("G");
+      rows.SortAndDedup();
+      ASSERT_TRUE(
+          HCubeShuffle({{&rows, attrs[0]}}, share, variant, &probe).ok());
+      for (int s = 0; s < cfg.num_servers; ++s) {
+        const storage::Relation& block = *probe.shard(s).atoms[0];
+        for (uint64_t r = 0; r < block.size(); ++r) {
+          if (block.Row(r)[0] == 1000 && block.Row(r)[1] == 1001) ++holders;
+        }
+      }
+      EXPECT_EQ(holders, 2) << name;
+    }
+    write({{1004, 1005}}, {{1000, 1001}});
+    check("tombstone of a delta row", true);
+    write({{1006, 1007}}, {});
+    bind(nullptr);  // patches the trie; its shards stay sources
+    write({}, {{1002, 1003}});
+    check("sources left unshuffled across a write", false);
+    write({{1008, 1009}}, {});
+    write({}, {{1004, 1005}});
+    check("two writes, nothing bound", true);
+  }
 }
 
 }  // namespace

@@ -240,11 +240,14 @@ TEST(IndexCacheTest, ShardEntriesAreSweptWithTheirRelation) {
   EXPECT_EQ(db.index_cache().resident_bytes(), 0u);
 }
 
-// A tuple write keeps the pre-write version's payload and trie only as
-// the write's patch source for merge-on-read. The catalog no longer
-// holds the pre-write relation, so the sweep drops its rows, trie and
-// shard entries (patch sources count as the cache's own), and after a
-// rerun the cache holds exactly one version's artifacts.
+// A tuple write keeps the pre-write version's payload, trie and HCube
+// shards only as the write's patch source for merge-on-read: the
+// shards are kept as shard sources (artifact handles, not entries) and
+// handed to the patched trie. The catalog no longer holds the
+// pre-write relation, so the sweep drops its rows, trie and shard
+// entries (patch sources count as the cache's own), and after a rerun
+// — which patches the shards from their sources — the cache holds
+// exactly one version's artifacts.
 TEST(IndexCacheTest, PatchSourcesDoNotKeepShardEntriesAlive) {
   Catalog db;
   test::CreateRelation(&db, "G", SmallGraph(20, 40, 250));

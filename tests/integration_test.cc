@@ -153,7 +153,7 @@ TEST(EngineTest, CommFirstOrderCoversAllAttrs) {
   storage::Catalog db = SmallDb(47);
   auto q = query::MakeBenchmarkQuery(6);
   Engine engine(&db);
-  auto order = engine.SelectCommFirstOrder(*q);
+  auto order = engine.SelectCommFirstOrder(*q, EngineOptions().cluster);
   ASSERT_TRUE(order.ok());
   EXPECT_EQ(order->size(), size_t(q->num_attrs()));
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "catalog_test_util.h"
@@ -204,8 +205,28 @@ TEST(SketchTest, EstimateBindingsSelectsContainedAtoms) {
   // attrs {a,b}: only atom 0 contained.
   EXPECT_DOUBLE_EQ(sketch->EstimateBindings(0b011),
                    double((*db.Get("G"))->size()));
-  // No atoms inside {a}: neutral 1.0.
-  EXPECT_DOUBLE_EQ(sketch->EstimateBindings(0b001), 1.0);
+  // No atom inside {a}: a's candidates, the smallest distinct count
+  // of a over the atoms that hold it (G(a,b) and G(a,c)).
+  const double fewest_a =
+      double(std::min(sketch->distinct(0, 0), sketch->distinct(2, 0)));
+  EXPECT_GT(fewest_a, 1.0);
+  EXPECT_DOUBLE_EQ(sketch->EstimateBindings(0b001), fewest_a);
+}
+
+TEST(SketchTest, DisconnectedPrefixPricesAsCrossProduct) {
+  // Q10, the 4-cycle: opening on the non-adjacent pair {a,c} binds
+  // every (a, c) combination, far more than the edges behind {a,b}.
+  Rng rng(5);
+  storage::Catalog db;
+  test::CreateRelation(&db, "G", dataset::ErdosRenyi(50, 300, rng));
+  auto q = Query::Parse("G(a,b) G(b,c) G(c,d) G(d,a)");
+  ASSERT_TRUE(q.ok());
+  auto sketch = SketchEstimator::Build(*q, db);
+  ASSERT_TRUE(sketch.ok());
+  const double ab = sketch->EstimateBindings(0b0011);
+  const double ac = sketch->EstimateBindings(0b0101);
+  EXPECT_DOUBLE_EQ(ab, double((*db.Get("G"))->size()));
+  EXPECT_GT(ac, ab);
 }
 
 }  // namespace

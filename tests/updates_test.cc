@@ -431,5 +431,51 @@ TEST(UpdatePropertyTest, MixedReadsAndWritesMatchRebuildOracle) {
   }
 }
 
+// A multi-server prepared rerun right after a point write — no warming
+// run in between — patches every index it binds: the relation's rows
+// and tries, and the HCube shards of each server (the pre-write shards
+// the cache kept for the patched trie), so it builds nothing.
+TEST(UpdatePropertyTest, MultiServerRerunAfterWritePatchesShards) {
+  for (int servers : {2, 4}) {
+    for (const std::string& text : {std::string("G(a,b) G(b,c)"),
+                                    std::string("G(a,b) G(b,c) G(a,c)")}) {
+      Rng rng(7);
+      api::Database db;
+      db.AddRelation("G", dataset::ErdosRenyi(200, 1200, rng));
+      std::set<Edge> mirror = ToEdges(**db.catalog().Get("G"));
+      api::Session session = db.OpenSession();
+      session.options().num_samples = 64;
+      session.options().cluster.num_servers = servers;
+      StatusOr<api::PreparedQuery> prepared = session.Prepare(text);
+      ASSERT_TRUE(prepared.ok()) << prepared.status();
+      ASSERT_TRUE(prepared->Run().ok());
+
+      for (int round = 0; round < 3; ++round) {
+        const std::string where = text + " servers=" +
+                                  std::to_string(servers) + " round " +
+                                  std::to_string(round);
+        WriteBatch batch;
+        if (round == 1) {
+          batch.Delete("G", {mirror.begin()->first, mirror.begin()->second});
+          mirror.erase(mirror.begin());
+        } else {
+          const Value v = Value(1000 + round);
+          batch.Insert("G", {v, v + 1});
+          mirror.insert({v, v + 1});
+        }
+        ASSERT_TRUE(db.Apply(batch).ok()) << where;
+        StatusOr<api::PreparedQuery> refreshed = session.Reprepare(*prepared);
+        ASSERT_TRUE(refreshed.ok()) << refreshed.status();
+        prepared = std::move(refreshed);
+        api::Result r = prepared->Run();
+        ASSERT_TRUE(r.ok()) << r.status();
+        EXPECT_EQ(r.count(), RebuildOracle(mirror, text)) << where;
+        EXPECT_EQ(r.index_builds(), 0u) << where;
+        EXPECT_GT(r.index_patched(), 0u) << where;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace adj
